@@ -24,6 +24,7 @@ import json
 import math
 import sys
 from collections.abc import Sequence
+from dataclasses import fields
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .errors import (
     BadRange,
     DegeneracyUnresolved,
     DomainError,
+    DoubleWellError,
     EnergyOutOfBand,
     ExcitedBelowZero,
     GridTooCoarse,
@@ -42,17 +44,11 @@ from .errors import (
     NotSymmetric,
     PerturbationTooLarge,
 )
-from .isolated import IsolatedWellSolution, newton_initial, newton_step, series_y
+from .isolated import newton_initial, newton_step, series_y
 from .oracle import compare
 from .params import WellSpec, load_spec, reduce
 from .perturb import invert_ratio, perturbed_levels, symmetric_base
-from .tunneling import (
-    CoupledSolution,
-    DoubleWellResult,
-    Parity,
-    coefficient_ratio,
-    solve_double_well,
-)
+from .tunneling import DoubleWellResult, Parity, coefficient_ratio, solve_double_well
 from .wavefunc import assemble, sample, write_sample_csv
 
 __all__ = ["EXAMPLE_SPEC", "main"]
@@ -73,136 +69,68 @@ EXAMPLE_SPEC = WellSpec(
 )
 
 
-def _spec_dict(spec: WellSpec) -> dict:
-    return {
-        "hbar": spec.hbar,
-        "mass": spec.mass,
-        "v_m4": spec.v_m4,
-        "v_m2": spec.v_m2,
-        "v_0": spec.v_0,
-        "v_2": spec.v_2,
-        "v_4": spec.v_4,
-        "w_m2": spec.w_m2,
-        "w_0": spec.w_0,
-        "w_2": spec.w_2,
-        "x_m3": spec.x_m3,
-        "x_m1": spec.x_m1,
-        "x_1": spec.x_1,
-        "x_3": spec.x_3,
-    }
+# Report keys that differ from the dataclass field they come from.
+RENAMED = {
+    "y_cap": "y", "u_cap": "u", "a_coef": "a", "b_coef": "b", "c_coef": "c",
+    "p_cap": "p", "v_ratio": "v",
+}
 
 
-def _well_dict(well: IsolatedWellSolution) -> dict:
-    return {
-        "y": well.y_cap,
-        "s_outer": well.s_outer,
-        "s_inner": well.s_inner,
-        "phi_outer": well.phi_outer,
-        "phi_inner": well.phi_inner,
-        "c_inner": well.c_inner,
-        "t_outer": well.t_outer,
-        "t_inner": well.t_inner,
-        "u": well.u_cap,
-        "a": well.a_coef,
-        "b": well.b_coef,
-        "c": well.c_coef,
-    }
-
-
-def _level_dict(solution: CoupledSolution, coef_ratio: float) -> dict:
-    return {
-        "parity": solution.parity.value,
-        "r0": solution.r0,
-        "p_small": solution.p_small,
-        "eps_left": solution.eps_left,
-        "eps_right": solution.eps_right,
-        "y_left": solution.y_left,
-        "y_right": solution.y_right,
-        "r_left": solution.r_left,
-        "r_right": solution.r_right,
-        "energy_left_estimate": solution.energy_left_estimate,
-        "energy_right_estimate": solution.energy_right_estimate,
-        "energy": solution.energy,
-        "z_asym": solution.z_asym,
-        "r_asym": solution.r_asym,
-        "prob_left": solution.prob_left,
-        "prob_right": solution.prob_right,
-        "coefficient_ratio": coef_ratio,
-    }
+def _section(obj, names: Sequence[str] | None = None) -> dict:
+    """Report section of a result dataclass: the named attributes (default:
+    every field in declaration order) under their report keys."""
+    if names is None:
+        names = [f.name for f in fields(obj)]
+    section = {}
+    for name in names:
+        value = getattr(obj, name)
+        section[RENAMED.get(name, name)] = value.value if isinstance(value, Parity) else value
+    return section
 
 
 def build_report(result: DoubleWellResult) -> dict:
-    reduced = result.reduced
-    return {
-        "spec": _spec_dict(result.spec),
-        "reduced": {
-            "w_m3": reduced.w_m3,
-            "w_m1": reduced.w_m1,
-            "w_1": reduced.w_1,
-            "w_3": reduced.w_3,
-            "k_m2": reduced.k_m2,
-            "k_0": reduced.k_0,
-            "k_2": reduced.k_2,
-            "alpha_m3": reduced.alpha_m3,
-            "alpha_m1": reduced.alpha_m1,
-            "alpha_1": reduced.alpha_1,
-            "alpha_3": reduced.alpha_3,
-            "beta_m1": reduced.beta_m1,
-            "beta_1": reduced.beta_1,
-            "gamma_m3": reduced.gamma_m3,
-            "gamma_m1": reduced.gamma_m1,
-            "gamma_1": reduced.gamma_1,
-            "gamma_3": reduced.gamma_3,
-        },
-        "wells": {"left": _well_dict(result.left), "right": _well_dict(result.right)},
-        "coupling": {"p": result.coupling.p_cap},
-        "ground": _level_dict(
-            result.ground,
-            coefficient_ratio(Parity.GROUND, result.ground, result.left, result.right),
-        ),
-        "excited": _level_dict(
-            result.excited,
-            coefficient_ratio(Parity.EXCITED, result.excited, result.left, result.right),
-        ),
-        "splitting": {
-            "e_bar": result.splitting.e_bar,
-            "delta_e": result.splitting.delta_e,
-            "e0": result.splitting.e0,
-            "e1": result.splitting.e1,
-        },
+    spec_names = [f.name for f in fields(result.spec)] + ["x_m1", "x_1", "x_3"]
+    report = {
+        "spec": _section(result.spec, spec_names),
+        "reduced": _section(result.reduced),
+        "wells": {"left": _section(result.left), "right": _section(result.right)},
+        "coupling": _section(result.coupling),
     }
+    for solution in (result.ground, result.excited):
+        ratio = coefficient_ratio(solution.parity, solution, result.left, result.right)
+        report[solution.parity.value] = _section(solution) | {"coefficient_ratio": ratio}
+    report["splitting"] = _section(result.splitting)
+    return report
 
 
 def _emit(report: dict) -> None:
     sys.stdout.write(json.dumps(report, indent=2) + "\n")
 
 
+# (label, field) rows of the --verbose table for each well and each level.
+VERBOSE_WELL = (
+    ("Y", "y_cap"), ("S_inner", "s_inner"), ("U", "u_cap"), ("a", "a_coef"), ("b", "b_coef"),
+    ("c", "c_coef"),
+)
+VERBOSE_LEVEL = (
+    ("r0", "r0"), ("p", "p_small"), ("energy", "energy"), ("prob_left", "prob_left"),
+    ("prob_right", "prob_right"),
+)
+
+
 def _verbose_table(result: DoubleWellResult) -> None:
-    rows: list[tuple[str, float]] = []
-    for side, well in (("left", result.left), ("right", result.right)):
-        rows += [
-            (f"{side}.Y", well.y_cap),
-            (f"{side}.S_inner", well.s_inner),
-            (f"{side}.U", well.u_cap),
-            (f"{side}.a", well.a_coef),
-            (f"{side}.b", well.b_coef),
-            (f"{side}.c", well.c_coef),
-        ]
-    rows.append(("P", result.coupling.p_cap))
-    for label, level in (("ground", result.ground), ("excited", result.excited)):
-        rows += [
-            (f"{label}.r0", level.r0),
-            (f"{label}.p", level.p_small),
-            (f"{label}.energy", level.energy),
-            (f"{label}.prob_left", level.prob_left),
-            (f"{label}.prob_right", level.prob_right),
-        ]
-    rows += [
-        ("e_bar", result.splitting.e_bar),
-        ("delta_e", result.splitting.delta_e),
-        ("e0", result.splitting.e0),
-        ("e1", result.splitting.e1),
+    rows = [
+        (f"{side}.{label}", getattr(well, name))
+        for side, well in (("left", result.left), ("right", result.right))
+        for label, name in VERBOSE_WELL
     ]
+    rows.append(("P", result.coupling.p_cap))
+    rows += [
+        (f"{side}.{label}", getattr(level, name))
+        for side, level in (("ground", result.ground), ("excited", result.excited))
+        for label, name in VERBOSE_LEVEL
+    ]
+    rows += _section(result.splitting).items()
     for name, value in rows:
         sys.stderr.write(f"{name:<20} {value:.12g}\n")
 
@@ -228,21 +156,9 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     levels = perturbed_levels(base, delta_v)
     result = solve_double_well(spec)
     report = build_report(result)
-    report["perturbation"] = {
-        "a_sym": base.a_sym,
-        "e_bar": base.e_bar,
-        "delta_e": base.delta_e,
-        "f_coef": base.f_coef,
-        "g_coef": base.g_coef,
-        "v": levels.v_ratio,
-        "delta_v": levels.delta_v,
-        "e_left": levels.e_left,
-        "e_right": levels.e_right,
-        "e0": levels.e0,
-        "e1": levels.e1,
-        "z_asym": levels.z_asym,
-        "prob_ratio": levels.prob_ratio,
-    }
+    report["perturbation"] = _section(
+        base, ("a_sym", "e_bar", "delta_e", "f_coef", "g_coef")
+    ) | _section(levels)
     _emit(report)
     return 0
 
@@ -251,21 +167,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     spec = load_spec(args.spec)
     comparison = compare(spec, args.tol)
     report = build_report(solve_double_well(spec))
-    report["oracle"] = {
-        "tol_rel": comparison.tol_rel,
-        "e0_approx": comparison.e0_approx,
-        "e1_approx": comparison.e1_approx,
-        "delta_e_approx": comparison.delta_e_approx,
-        "ratio_approx": comparison.ratio_approx,
-        "e0_exact": comparison.e0_exact,
-        "e1_exact": comparison.e1_exact,
-        "delta_e_exact": comparison.delta_e_exact,
-        "ratio_exact": comparison.ratio_exact,
-        "err_e0": comparison.err_e0,
-        "err_e1": comparison.err_e1,
-        "err_delta_e": comparison.err_delta_e,
-        "err_ratio": comparison.err_ratio,
-    }
+    report["oracle"] = _section(comparison)
     _emit(report)
     return 0
 
@@ -433,6 +335,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code and stderr hint per exception, first match wins; see the module
+# docstring for what each code means.
+EXIT_CODES = (
+    (NotSymmetric, 4, ""),
+    (
+        (LevelNotFound, DegeneracyUnresolved),
+        5,
+        "hint: LevelNotFound means the exact solver found no sign change of the "
+        "matching mismatch inside the level's node-count window, as when the two "
+        "levels are degenerate at float64 resolution; DegeneracyUnresolved means "
+        "--tol is coarser than the level splitting.\n",
+    ),
+    (
+        (AssumptionViolated, NoConvergence, ExcitedBelowZero, MatchingResidualTooLarge),
+        3,
+        "hint: the closed-form approximation does not apply to this potential; "
+        "use the `oracle` subcommand for exact energies.\n",
+    ),
+    (
+        (InvalidSpec, DomainError, PerturbationTooLarge, EnergyOutOfBand, GridTooCoarse, BadRange),
+        2,
+        "",
+    ),
+    (OSError, 2, ""),
+)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -441,36 +370,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NotSymmetric as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
-    except (LevelNotFound, DegeneracyUnresolved) as exc:
-        sys.stderr.write(
-            f"error: {exc}\n"
-            "hint: LevelNotFound means a well binds no level; DegeneracyUnresolved "
-            "means --tol is coarser than the level splitting.\n"
-        )
-        return 5
-    except (AssumptionViolated, NoConvergence, ExcitedBelowZero, MatchingResidualTooLarge) as exc:
-        sys.stderr.write(
-            f"error: {exc}\n"
-            "hint: the closed-form approximation does not apply to this potential; "
-            "use the `oracle` subcommand for exact energies.\n"
-        )
-        return 3
-    except (
-        InvalidSpec,
-        DomainError,
-        PerturbationTooLarge,
-        EnergyOutOfBand,
-        GridTooCoarse,
-        BadRange,
-    ) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    except (DoubleWellError, OSError) as exc:
+        for errors, code, hint in EXIT_CODES:
+            if isinstance(exc, errors):
+                sys.stderr.write(f"error: {exc}\n{hint}")
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyUnresolved, EnergyOutOfBand, LevelNotFound
-from .params import WellSpec, bound_state_exists, reduce
+from .params import WellSpec, band, first_unbound_well, reduce
 from .tunneling import Parity, solve_double_well
 from .wavefunc import assemble_at_energy, probabilities
 
@@ -80,8 +80,7 @@ def shoot(spec: WellSpec, energy: float) -> ShootResult:
     exactly at the right wall makes the mismatch a signed infinity (its
     pole convention).
     """
-    lo = max(spec.v_m2, spec.v_2)
-    hi = min(spec.v_m4, spec.v_0, spec.v_4)
+    lo, hi = band(spec)
     if not (lo < energy < hi):
         raise EnergyOutOfBand(f"energy {energy!r} outside the bound band ({lo!r}, {hi!r})")
     two_m = 2.0 * spec.mass
@@ -177,18 +176,13 @@ def find_level(spec: WellSpec, which: Parity, tol_rel: float = 1e-13) -> float:
     :class:`DegeneracyUnresolved` when the found root cannot be separated
     from a neighbouring one at ``tol_rel``.
     """
-    reduced = reduce(spec)
-    for label, inner, outer in (
-        ("left", reduced.alpha_m1, reduced.alpha_m3),
-        ("right", reduced.alpha_1, reduced.alpha_3),
-    ):
-        if not bound_state_exists(inner, outer):
-            raise LevelNotFound(
-                f"{label} well binds no level (alpha_inner={inner!r}, alpha_outer={outer!r})"
-            )
+    unbound = first_unbound_well(reduce(spec))
+    if unbound:
+        raise LevelNotFound(
+            "{} well binds no level (alpha_inner={!r}, alpha_outer={!r})".format(*unbound)
+        )
     target = 0 if which == Parity.GROUND else 1
-    lo = max(spec.v_m2, spec.v_2)
-    hi = min(spec.v_m4, spec.v_0, spec.v_4)
+    lo, hi = band(spec)
     inset = 1e-9 * (hi - lo)
     grid = np.linspace(lo + inset, hi - inset, 10_001)
     results = [shoot(spec, float(e)) for e in grid]
@@ -265,9 +259,8 @@ def compare(spec: WellSpec, tol_rel: float = 1e-13) -> OracleComparison:
     e1_exact = find_level(spec, Parity.EXCITED, tol_rel)
     delta_exact = 0.5 * (e1_exact - e0_exact)
     e_bar_exact = 0.5 * (e1_exact + e0_exact)
-    scale = abs(e_bar_exact)
-    if scale == 0.0:
-        scale = min(spec.v_m4, spec.v_0, spec.v_4) - max(spec.v_m2, spec.v_2)
+    lo, hi = band(spec)
+    scale = abs(e_bar_exact) or hi - lo
     exact_model = assemble_at_energy(spec, approx.reduced, Parity.GROUND, e0_exact)
     prob_left, prob_right = probabilities(exact_model)
     ratio_exact = prob_right / prob_left

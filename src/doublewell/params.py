@@ -31,7 +31,9 @@ __all__ = [
     "ReducedParams",
     "SPEC_KEYS",
     "reduce",
+    "band",
     "bound_state_exists",
+    "first_unbound_well",
     "parse_spec",
     "load_spec",
 ]
@@ -172,6 +174,12 @@ def reduce(spec: WellSpec) -> ReducedParams:
     )
 
 
+def band(spec: WellSpec) -> tuple[float, float]:
+    """The open energy band (max well floor, min wall) that holds both
+    levels: above both well floors and below the barrier and outer walls."""
+    return max(spec.v_m2, spec.v_2), min(spec.v_m4, spec.v_0, spec.v_4)
+
+
 def bound_state_exists(alpha_inner: float, alpha_outer: float) -> bool:
     """Whether a finite well with the given edge parameters binds a state.
 
@@ -186,6 +194,18 @@ def bound_state_exists(alpha_inner: float, alpha_outer: float) -> bool:
     if hi <= 2.0:
         return True
     return min(alpha_inner, alpha_outer) >= hi * math.cos(math.pi / hi)
+
+
+def first_unbound_well(reduced: ReducedParams) -> tuple[str, float, float] | None:
+    """``(side, alpha_inner, alpha_outer)`` of the first well, left before
+    right, that binds no level; None when both wells bind one."""
+    for side, inner, outer in (
+        ("left", reduced.alpha_m1, reduced.alpha_m3),
+        ("right", reduced.alpha_1, reduced.alpha_3),
+    ):
+        if not bound_state_exists(inner, outer):
+            return side, inner, outer
+    return None
 
 
 def parse_spec(text: str) -> WellSpec:

@@ -27,10 +27,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NotSymmetric, PerturbationTooLarge
+from .errors import AssumptionViolated, DomainError, NotSymmetric, PerturbationTooLarge
 from .isolated import IsolatedWellSolution, coupling, solve_wells
 from .params import ReducedParams, WellSpec, reduce
-from .tunneling import Parity, solve_r0
+from .tunneling import Parity, _probability_split, solve_r0
 
 __all__ = [
     "SymmetricBase",
@@ -106,7 +106,8 @@ def symmetric_base(spec: WellSpec, tol: float = 1e-13) -> SymmetricBase:
     """Solve the symmetric configuration and package its response inputs.
 
     Raises :class:`NotSymmetric` when the derived well coefficients
-    a_left, a_right differ by more than 1e-9 relative.
+    a_left, a_right differ by more than 1e-9 relative, and
+    :class:`AssumptionViolated` when the half-splitting underflows to 0.
     """
     reduced_params = reduce(spec)
     left, right = solve_wells(reduced_params, tol=tol)
@@ -130,6 +131,12 @@ def symmetric_base(spec: WellSpec, tol: float = 1e-13) -> SymmetricBase:
     )
     a_sym = 0.5 * (left.a_coef + right.a_coef)
     delta_e = (2.0 * a_sym * reduced_params.k_0 / math.pi**2) * math.sqrt(p_small)
+    if delta_e == 0.0:
+        # Every response formula is in units of delta_e.
+        raise AssumptionViolated(
+            f"the half-splitting delta_e underflowed to 0: p = P e^(-2 r0) = {p_small!r} "
+            f"at r0 = {r0!r}; the barrier is too opaque for the perturbation formulas"
+        )
     e_bar = 0.5 * (
         spec.v_m2
         + reduced_params.k_m2 * left.y_cap**2
@@ -252,14 +259,7 @@ def two_level_check(base: SymmetricBase, delta_v: float) -> tuple[float, float]:
     ||H psi - E psi|| / |E| against the closed-form e0, e1.
     """
     levels = perturbed_levels(base, delta_v)
-    z = levels.z_asym
-    sq = math.hypot(1.0, z)
-    if z >= 0.0:
-        p_left = 1.0 / (2.0 * sq * (sq + z))
-        p_right = 1.0 - p_left
-    else:
-        p_right = 1.0 / (2.0 * sq * (sq - z))
-        p_left = 1.0 - p_right
+    p_left, p_right = _probability_split(levels.z_asym)
     cos_half = math.sqrt(p_left)
     sin_half = math.sqrt(p_right)
     residuals = []

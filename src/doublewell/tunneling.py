@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import AssumptionViolated, DomainError, ExcitedBelowZero, NoConvergence
 from .isolated import BarrierCoupling, IsolatedWellSolution, coupling, solve_wells
-from .params import ReducedParams, WellSpec, bound_state_exists, reduce
+from .params import ReducedParams, WellSpec, first_unbound_well, reduce
 
 __all__ = [
     "Parity",
@@ -297,15 +297,11 @@ def solve_double_well(
 ) -> DoubleWellResult:
     """Full approximation pipeline: reduce, solve wells, couple, split."""
     reduced_params = reduce(spec)
-    for label, inner, outer in (
-        ("left", reduced_params.alpha_m1, reduced_params.alpha_m3),
-        ("right", reduced_params.alpha_1, reduced_params.alpha_3),
-    ):
-        if not bound_state_exists(inner, outer):
-            raise DomainError(
-                f"{label} well supports no bound level "
-                f"(alpha_inner={inner!r}, alpha_outer={outer!r})"
-            )
+    unbound = first_unbound_well(reduced_params)
+    if unbound:
+        raise DomainError(
+            "{} well supports no bound level (alpha_inner={!r}, alpha_outer={!r})".format(*unbound)
+        )
     left, right = solve_wells(reduced_params, tol=tol_y, max_iter=max_iter_y)
     coup = coupling(left, right)
     solutions = {}

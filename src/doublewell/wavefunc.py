@@ -34,7 +34,7 @@ from .errors import (
     MatchingResidualTooLarge,
 )
 from .isolated import IsolatedWellSolution, derive_well, solve_y
-from .params import ReducedParams, WellSpec
+from .params import ReducedParams, WellSpec, band
 from .tunneling import CoupledSolution, Parity
 
 __all__ = [
@@ -110,12 +110,8 @@ class SingleWellModel:
     amp_barrier: float
 
 
-def _band(spec: WellSpec) -> tuple[float, float]:
-    return max(spec.v_m2, spec.v_2), min(spec.v_m4, spec.v_0, spec.v_4)
-
-
 def _check_band(spec: WellSpec, energy: float) -> None:
-    lo, hi = _band(spec)
+    lo, hi = band(spec)
     if not (lo < energy < hi):
         raise EnergyOutOfBand(
             f"energy {energy!r} outside the bound band ({lo!r}, {hi!r})"
@@ -167,11 +163,9 @@ def _assemble_core(
         raise DomainError(
             f"inner phase out of range: phase_m1={phase_m1!r}, phase_1={phase_1!r}"
         )
-    amp_0 = 1.0
     amp_m2 = edge_left / sin_m1
-    amp_m4 = amp_m2 * s_m3
     amp_2 = edge_right / sin_1
-    amp_4 = amp_2 * s_3
+    amps = dict(amp_m4=amp_m2 * s_m3, amp_m2=amp_m2, amp_0=1.0, amp_2=amp_2, amp_4=amp_2 * s_3)
     model = WavefunctionModel(
         parity=parity,
         energy=energy,
@@ -187,82 +181,123 @@ def _assemble_core(
         kappa_4=kappa_4,
         k_m2=k_m2,
         k_2=k_2,
-        amp_m4=amp_m4,
-        amp_m2=amp_m2,
-        amp_0=amp_0,
-        amp_2=amp_2,
-        amp_4=amp_4,
         phase_m3=phase_m3,
         phase_m1=phase_m1,
         phase_1=phase_1,
         phase_3=phase_3,
+        **amps,
     )
-    left_mass, right_mass = _split_norms(model)
-    scale = 1.0 / math.sqrt(left_mass + right_mass)
-    model = replace(
-        model,
-        amp_m4=amp_m4 * scale,
-        amp_m2=amp_m2 * scale,
-        amp_0=amp_0 * scale,
-        amp_2=amp_2 * scale,
-        amp_4=amp_4 * scale,
-    )
+    scale = 1.0 / math.sqrt(sum(probabilities(model)))
+    model = replace(model, **{name: amp * scale for name, amp in amps.items()})
     _check_matching(model)
     return model
+
+
+# A piece is psi = amp f(rate (x - origin)) on one constant-potential region.
+# Per kind: the name of f and of the function g in its slope
+# dpsi/dx = (sign amp) rate g(...), that sign, and what its mass needs: None
+# for exp (always a semi-infinite tail decaying away from its origin), else
+# (s, h) with the integral of [amp f(rate (x - origin))]^2 over [a, b] equal to
+# amp^2 [s (b - a)/2 + (h(2 rate (b - origin)) - h(2 rate (a - origin))) / (4 rate)].
+# The names resolve in numpy for arrays and in math for single floats.
+_KINDS = {
+    "exp": ("exp", "exp", 1.0, None),
+    "cos": ("cos", "sin", -1.0, (1.0, math.sin)),
+    "cosh": ("cosh", "sinh", 1.0, (1.0, math.sinh)),
+    "sinh": ("sinh", "cosh", 1.0, (-1.0, math.sinh)),
+}
+
+Piece = tuple[str, float, float, float]
+
+
+def _pieces(
+    model: WavefunctionModel | SingleWellModel,
+) -> tuple[tuple[float, ...], tuple[Piece, ...], bool]:
+    """Region table of a piecewise state: ``(edges, pieces, left_owned)``.
+
+    ``edges`` are the boundaries between regions in increasing order;
+    ``pieces`` holds one (kind, amp, rate, origin) per region, one more than
+    there are edges.  A boundary belongs to the region on its right, or to
+    the one on its left when ``left_owned``.  The excited state's overall
+    minus sign on the two left regions is folded into their amplitudes.
+    """
+    if isinstance(model, SingleWellModel):
+        if model.side == "left":
+            return (model.x_outer, model.x_inner), (
+                ("exp", model.amp_outer, model.kappa_outer, model.x_outer),
+                ("cos", model.amp, model.k, model.extremum),
+                ("exp", model.amp_barrier, -model.kappa_barrier, model.x_inner),
+            ), False
+        return (model.x_inner, model.x_outer), (
+            ("exp", model.amp_barrier, model.kappa_barrier, model.x_inner),
+            ("cos", model.amp, model.k, model.extremum),
+            ("exp", model.amp_outer, -model.kappa_outer, model.x_outer),
+        ), True
+    excited = model.parity == Parity.EXCITED
+    sign = -1.0 if excited else 1.0
+    return (model.x_m3, model.x_m1, model.x_1, model.x_3), (
+        ("exp", sign * model.amp_m4, model.kappa_m4, model.x_m3),
+        ("cos", sign * model.amp_m2, model.k_m2, model.extremum_left),
+        ("sinh" if excited else "cosh", model.amp_0, model.kappa_0, model.barrier_node),
+        ("cos", model.amp_2, model.k_2, model.extremum_right),
+        ("exp", model.amp_4, -model.kappa_4, model.x_3),
+    ), False
+
+
+def _piece(piece: Piece, xs, slope: bool, lib):
+    """One piece's psi, or dpsi/dx when ``slope``, at xs; ``lib`` is numpy
+    for arrays or math for a float.  An array xs is overwritten: working in
+    place keeps one temporary array per region besides the result."""
+    kind, amp, rate, origin = piece
+    f, g, sign, _ = _KINDS[kind]
+    xs -= origin
+    xs *= rate
+    return (sign * amp) * rate * getattr(lib, g)(xs) if slope else amp * getattr(lib, f)(xs)
+
+
+def _field(model: WavefunctionModel | SingleWellModel, x, slope: bool):
+    """psi, or dpsi/dx when ``slope``, of a piecewise state at a scalar or an
+    array of positions.  NaN lies in no region and gives NaN."""
+    xs = np.asarray(x, dtype=float)
+    points = np.atleast_1d(xs)
+    edges, pieces, left_owned = _pieces(model)
+    above = np.greater if left_owned else np.greater_equal
+    below = np.less_equal if left_owned else np.less
+    out = np.full_like(points, np.nan)
+    for i, piece in enumerate(pieces):
+        # The outer regions reach out to -inf and +inf.
+        if i == 0:
+            mask = below(points, edges[0])
+        elif i == len(edges):
+            mask = above(points, edges[-1])
+        else:
+            mask = above(points, edges[i - 1]) & below(points, edges[i])
+        out[mask] = _piece(piece, points[mask], slope, np)
+    return float(out[0]) if xs.ndim == 0 else out
+
+
+def _mass(piece: Piece, a: float, b: float) -> float:
+    """Integral of the piece's psi^2 over [a, b] (over its whole tail for exp)."""
+    kind, amp, rate, origin = piece
+    wave = _KINDS[kind][3]
+    if wave is None:
+        return amp**2 / (2.0 * abs(rate))
+    s, h = wave
+    return amp * amp * (
+        s * 0.5 * (b - a)
+        + (h(2.0 * rate * (b - origin)) - h(2.0 * rate * (a - origin))) / (4.0 * rate)
+    )
 
 
 def _boundary_pairs(
     model: WavefunctionModel,
 ) -> list[tuple[float, tuple[float, float], tuple[float, float]]]:
     """(boundary x, (value, slope) from the left region, same from the right)."""
-    sign = -1.0 if model.parity == Parity.EXCITED else 1.0
-    hyp_even = math.sinh if model.parity == Parity.EXCITED else math.cosh
-    hyp_odd = math.cosh if model.parity == Parity.EXCITED else math.sinh
-
-    def trig(amp: float, k: float, center: float, x: float) -> tuple[float, float]:
-        theta = k * (x - center)
-        return amp * math.cos(theta), -amp * k * math.sin(theta)
-
-    def barrier(x: float) -> tuple[float, float]:
-        arg = model.kappa_0 * (x - model.barrier_node)
-        return model.amp_0 * hyp_even(arg), model.amp_0 * model.kappa_0 * hyp_odd(arg)
-
-    pairs = []
-    pairs.append(
-        (
-            model.x_m3,
-            (sign * model.amp_m4, sign * model.kappa_m4 * model.amp_m4),
-            tuple(
-                sign * q
-                for q in trig(model.amp_m2, model.k_m2, model.extremum_left, model.x_m3)
-            ),
-        )
-    )
-    pairs.append(
-        (
-            model.x_m1,
-            tuple(
-                sign * q
-                for q in trig(model.amp_m2, model.k_m2, model.extremum_left, model.x_m1)
-            ),
-            barrier(model.x_m1),
-        )
-    )
-    pairs.append(
-        (
-            model.x_1,
-            barrier(model.x_1),
-            trig(model.amp_2, model.k_2, model.extremum_right, model.x_1),
-        )
-    )
-    pairs.append(
-        (
-            model.x_3,
-            trig(model.amp_2, model.k_2, model.extremum_right, model.x_3),
-            (model.amp_4, -model.kappa_4 * model.amp_4),
-        )
-    )
-    return pairs
+    edges, pieces, _ = _pieces(model)
+    return [
+        (x, *[(_piece(p, x, False, math), _piece(p, x, True, math)) for p in (left, right)])
+        for x, left, right in zip(edges, pieces, pieces[1:])
+    ]
 
 
 def _check_matching(model: WavefunctionModel) -> None:
@@ -323,58 +358,6 @@ def assemble_at_energy(
     return _assemble_core(spec, reduced, parity, energy, math.atanh(ratio))
 
 
-def _values_array(model: WavefunctionModel, xs: np.ndarray) -> np.ndarray:
-    sign = -1.0 if model.parity == Parity.EXCITED else 1.0
-    hyp = np.sinh if model.parity == Parity.EXCITED else np.cosh
-    out = np.empty_like(xs)
-    mask = xs < model.x_m3
-    out[mask] = sign * model.amp_m4 * np.exp(model.kappa_m4 * (xs[mask] - model.x_m3))
-    mask = (xs >= model.x_m3) & (xs < model.x_m1)
-    out[mask] = sign * model.amp_m2 * np.cos(model.k_m2 * (xs[mask] - model.extremum_left))
-    mask = (xs >= model.x_m1) & (xs < model.x_1)
-    out[mask] = model.amp_0 * hyp(model.kappa_0 * (xs[mask] - model.barrier_node))
-    mask = (xs >= model.x_1) & (xs < model.x_3)
-    out[mask] = model.amp_2 * np.cos(model.k_2 * (xs[mask] - model.extremum_right))
-    mask = xs >= model.x_3
-    out[mask] = model.amp_4 * np.exp(-model.kappa_4 * (xs[mask] - model.x_3))
-    return out
-
-
-def _slopes_array(model: WavefunctionModel, xs: np.ndarray) -> np.ndarray:
-    sign = -1.0 if model.parity == Parity.EXCITED else 1.0
-    hyp = np.cosh if model.parity == Parity.EXCITED else np.sinh
-    out = np.empty_like(xs)
-    mask = xs < model.x_m3
-    out[mask] = (
-        sign
-        * model.amp_m4
-        * model.kappa_m4
-        * np.exp(model.kappa_m4 * (xs[mask] - model.x_m3))
-    )
-    mask = (xs >= model.x_m3) & (xs < model.x_m1)
-    out[mask] = (
-        -sign
-        * model.amp_m2
-        * model.k_m2
-        * np.sin(model.k_m2 * (xs[mask] - model.extremum_left))
-    )
-    mask = (xs >= model.x_m1) & (xs < model.x_1)
-    out[mask] = (
-        model.amp_0 * model.kappa_0 * hyp(model.kappa_0 * (xs[mask] - model.barrier_node))
-    )
-    mask = (xs >= model.x_1) & (xs < model.x_3)
-    out[mask] = (
-        -model.amp_2 * model.k_2 * np.sin(model.k_2 * (xs[mask] - model.extremum_right))
-    )
-    mask = xs >= model.x_3
-    out[mask] = (
-        -model.amp_4
-        * model.kappa_4
-        * np.exp(-model.kappa_4 * (xs[mask] - model.x_3))
-    )
-    return out
-
-
 def evaluate(model: WavefunctionModel, x):
     """psi(x); accepts a scalar or an array.
 
@@ -382,64 +365,26 @@ def evaluate(model: WavefunctionModel, x):
     region on its right; continuity makes the choice observationally
     irrelevant.
     """
-    if np.ndim(x) == 0:
-        return float(_values_array(model, np.asarray([float(x)]))[0])
-    return _values_array(model, np.asarray(x, dtype=float))
+    return _field(model, x, False)
 
 
 def derivative(model: WavefunctionModel, x):
     """d psi / dx at x; accepts a scalar or an array."""
-    if np.ndim(x) == 0:
-        return float(_slopes_array(model, np.asarray([float(x)]))[0])
-    return _slopes_array(model, np.asarray(x, dtype=float))
-
-
-def _trig_mass(amp: float, k: float, center: float, a: float, b: float) -> float:
-    """Integral of [amp cos(k (x - center))]^2 over [a, b]."""
-    return amp * amp * (
-        0.5 * (b - a)
-        + (math.sin(2.0 * k * (b - center)) - math.sin(2.0 * k * (a - center)))
-        / (4.0 * k)
-    )
-
-
-def _hyp_mass(
-    amp: float, kappa: float, center: float, a: float, b: float, excited: bool
-) -> float:
-    """Integral of [amp cosh/sinh(kappa (x - center))]^2 over [a, b]."""
-    half = -0.5 * (b - a) if excited else 0.5 * (b - a)
-    return amp * amp * (
-        half
-        + (math.sinh(2.0 * kappa * (b - center)) - math.sinh(2.0 * kappa * (a - center)))
-        / (4.0 * kappa)
-    )
-
-
-def _split_norms(model: WavefunctionModel) -> tuple[float, float]:
-    excited = model.parity == Parity.EXCITED
-    left = (
-        model.amp_m4**2 / (2.0 * model.kappa_m4)
-        + _trig_mass(model.amp_m2, model.k_m2, model.extremum_left, model.x_m3, model.x_m1)
-        + _hyp_mass(
-            model.amp_0, model.kappa_0, model.barrier_node, model.x_m1,
-            model.barrier_node, excited,
-        )
-    )
-    right = (
-        _hyp_mass(
-            model.amp_0, model.kappa_0, model.barrier_node, model.barrier_node,
-            model.x_1, excited,
-        )
-        + _trig_mass(model.amp_2, model.k_2, model.extremum_right, model.x_1, model.x_3)
-        + model.amp_4**2 / (2.0 * model.kappa_4)
-    )
-    return left, right
+    return _field(model, x, True)
 
 
 def probabilities(model: WavefunctionModel) -> tuple[float, float]:
     """Exact analytic probability masses left and right of the barrier
     extremum.  For a normalized model the two sum to 1 up to rounding."""
-    return _split_norms(model)
+    edges, pieces, _ = _pieces(model)
+    node = model.barrier_node
+    left = right = 0.0
+    for a, b, piece in zip((-math.inf, *edges), (*edges, math.inf), pieces):
+        if a < node:
+            left += _mass(piece, a, min(b, node))
+        if b > node:
+            right += _mass(piece, max(a, node), b)
+    return left, right
 
 
 def closed_form_probabilities(
@@ -501,25 +446,7 @@ def single_well_model(spec: WellSpec, reduced: ReducedParams, side: str) -> Sing
 
 def evaluate_single(state: SingleWellModel, x) -> np.ndarray:
     """psi(x) of a single-well state; accepts a scalar or an array."""
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    out = np.empty_like(xs)
-    if state.side == "left":
-        mask = xs < state.x_outer
-        out[mask] = state.amp_outer * np.exp(state.kappa_outer * (xs[mask] - state.x_outer))
-        mask = (xs >= state.x_outer) & (xs < state.x_inner)
-        out[mask] = state.amp * np.cos(state.k * (xs[mask] - state.extremum))
-        mask = xs >= state.x_inner
-        out[mask] = state.amp_barrier * np.exp(-state.kappa_barrier * (xs[mask] - state.x_inner))
-    else:
-        mask = xs <= state.x_inner
-        out[mask] = state.amp_barrier * np.exp(state.kappa_barrier * (xs[mask] - state.x_inner))
-        mask = (xs > state.x_inner) & (xs <= state.x_outer)
-        out[mask] = state.amp * np.cos(state.k * (xs[mask] - state.extremum))
-        mask = xs > state.x_outer
-        out[mask] = state.amp_outer * np.exp(-state.kappa_outer * (xs[mask] - state.x_outer))
-    return float(out[0]) if scalar else out
+    return _field(state, x, False)
 
 
 def superpose(
@@ -572,7 +499,7 @@ def sample(
     if int(n_points) != n_points or n_points < 2:
         raise BadRange(f"need an integer n_points >= 2, got {n_points!r}")
     xs = np.linspace(x_min, x_max, int(n_points))
-    return np.column_stack((xs, _values_array(model, xs), _slopes_array(model, xs)))
+    return np.column_stack((xs, _field(model, xs, False), _field(model, xs, True)))
 
 
 def write_sample_csv(table: np.ndarray, destination: str | IO[str]) -> None:

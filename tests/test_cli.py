@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import doublewell
 from doublewell.cli import main
 from genspecs import EXAMPLE_SPEC
 
@@ -26,6 +28,14 @@ main = EntryPoint(name, value, "console_scripts").load()
 sys.argv = [name, *args]
 sys.exit(main())
 """
+
+
+def child_env():
+    """Environment whose PYTHONPATH finds the doublewell package imported here,
+    so a child interpreter runs the same code without an install."""
+    src = str(Path(doublewell.__file__).resolve().parents[1])
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + rest if rest else "")}
 
 
 def spec_text(**overrides):
@@ -128,6 +138,16 @@ class TestSolve:
 
 
 class TestPerturb:
+    @pytest.mark.parametrize("flag", [["--v", "1"], ["--ratio", "3"], ["--delta-v", "1e-12"]])
+    def test_underflowed_splitting_exits_3(self, capsys, tmp_path, flag):
+        path = tmp_path / "thick.spec"
+        path.write_text(spec_text(w_0=25.0 * EXAMPLE_SPEC.w_0))
+        code, out, err = run_cli(capsys, "perturb", str(path), *flag)
+        assert code == 3
+        assert out == ""
+        assert "underflowed" in err
+
+
     def test_v_flag(self, capsys, spec_file):
         code, out, _ = run_cli(capsys, "perturb", spec_file, "--v", "1")
         assert code == 0
@@ -186,6 +206,17 @@ class TestOracle:
         assert block["err_e1"] <= 1e-9
         assert block["err_delta_e"] <= 1e-4
         assert block["err_ratio"] <= 1e-4
+
+    def test_unbracketed_level_hint(self, capsys, tmp_path):
+        # Five times the example barrier: the doublet is degenerate at float64
+        # resolution and the ground window holds no mismatch sign change.
+        path = tmp_path / "opaque.spec"
+        path.write_text(spec_text(w_0=5.0 * EXAMPLE_SPEC.w_0))
+        code, _, err = run_cli(capsys, "oracle", str(path))
+        assert code == 5
+        assert "no sign change" in err
+        assert "node-count window" in err.split("hint:", 1)[1]
+        assert "binds no level" not in err
 
     def test_coarse_tolerance_cannot_separate_levels(self, capsys, spec_file):
         code, _, err = run_cli(capsys, "oracle", spec_file, "--tol", "1e-3")
@@ -284,9 +315,20 @@ class TestInstalledEntryPoints:
             [sys.executable, "-m", "doublewell.cli", "solve", spec_file],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["splitting"]["e_bar"] == pytest.approx(0.25)
+
+    def test_package_invocation(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "doublewell", "paper-example"],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0
+        assert "FAIL" not in proc.stdout
 
     def test_console_script(self):
         try:
@@ -303,6 +345,7 @@ class TestInstalledEntryPoints:
             ],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert "FAIL" not in proc.stdout

@@ -22,7 +22,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,11 +58,9 @@ def _specs() -> dict[str, str]:
     for i, spec in enumerate(mixed_spec_batch(7, 9)):
         specs[f"mixed_{i}"] = _spec_text(spec)
     # Barrier a tenth of a well wide: the closed form does not apply (exit 3).
-    thin = asdict(EXAMPLE_SPEC) | {"w_0": EXAMPLE_SPEC.w_2 / 10.0}
-    specs["thin"] = "".join(f"{k} = {v!r}\n" for k, v in thin.items())
+    specs["thin"] = _spec_text(replace(EXAMPLE_SPEC, w_0=EXAMPLE_SPEC.w_2 / 10.0))
     # Right floor and wall lowered by 1e-4: perturb refuses it (exit 4).
-    detuned = asdict(EXAMPLE_SPEC) | {"v_2": -1e-4, "v_4": 1.0 - 1e-4}
-    specs["detuned"] = "".join(f"{k} = {v!r}\n" for k, v in detuned.items())
+    specs["detuned"] = _spec_text(replace(EXAMPLE_SPEC, v_2=-1e-4, v_4=1.0 - 1e-4))
     specs["malformed"] = MALFORMED
     return specs
 

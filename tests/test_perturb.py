@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doublewell import (
+    AssumptionViolated,
     DomainError,
     NotSymmetric,
     PerturbationTooLarge,
@@ -68,6 +69,13 @@ class TestSymmetricBase:
         rng = random.Random(43)
         with pytest.raises(NotSymmetric):
             symmetric_base(asymmetric_spec(rng, eta=1e-4))
+
+
+    def test_underflowed_splitting_is_refused(self):
+        # At 25 times the example barrier r0 ~ 453, so p = P e^{-2 r0} is 0.
+        thick = replace(EXAMPLE_SPEC, w_0=25.0 * EXAMPLE_SPEC.w_0)
+        with pytest.raises(AssumptionViolated, match="underflowed"):
+            symmetric_base(thick)
 
 
 class TestPerturbedLevels:

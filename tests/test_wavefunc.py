@@ -137,6 +137,24 @@ class TestShape:
                     checked += 1
 
 
+class TestNaNPositions:
+    def test_nan_in_gives_nan_out(self, example_spec):
+        _, ground, excited = _models(example_spec)
+        for model in (ground, excited):
+            assert math.isnan(evaluate(model, math.nan))
+            assert math.isnan(derivative(model, math.nan))
+            xs = np.array([math.nan, model.x_m1, math.nan, model.x_3])
+            for field in (evaluate, derivative):
+                values = field(model, xs)
+                assert np.isnan(values[[0, 2]]).all()
+                assert values[1] == field(model, model.x_m1)
+                assert values[3] == field(model, model.x_3)
+        for side in ("left", "right"):
+            state = single_well_model(example_spec, reduce(example_spec), side)
+            assert math.isnan(evaluate_single(state, math.nan))
+            assert np.isnan(evaluate_single(state, np.array([math.nan, 1.0])))[0]
+
+
 class TestNormalization:
     def test_split_masses_sum_to_one(self):
         for spec in mixed_spec_batch(seed=56, count=12):
