@@ -42,6 +42,11 @@ __all__ = [
     "solve_wells",
 ]
 
+#: Relative step tolerance of the phase Newton solve and the barrier fixed point.
+TOL = 1e-13
+#: Newton step limit of ``solve_y``.
+MAX_ITER_Y = 50
+
 
 @dataclass(frozen=True, slots=True)
 class IsolatedWellSolution:
@@ -113,20 +118,15 @@ def newton_step(y: float, alpha_inner: float, alpha_outer: float) -> float:
     return numer / denom
 
 
-def solve_y(
-    alpha_inner: float,
-    alpha_outer: float,
-    tol: float = 1e-13,
-    max_iter: int = 50,
-) -> float:
+def solve_y(alpha_inner: float, alpha_outer: float) -> float:
     """Solve the phase equation for Y in (0, min(1, 1/alpha_max)].
 
     Newton steps that overshoot the admissible interval are pulled back by
     interval halving (towards the upper end for overshoots above, towards
     zero for overshoots below).  Raises :class:`NoConvergence` carrying the
-    last iterate when ``max_iter`` is exhausted or when the converged point
-    does not actually satisfy the equation (which happens when no bound
-    state exists for these alphas).
+    last iterate when ``MAX_ITER_Y`` steps do not settle to ``TOL`` or when
+    the converged point does not actually satisfy the equation (which
+    happens when no bound state exists for these alphas).
     """
     if alpha_inner == 0.0 and alpha_outer == 0.0:
         return 1.0
@@ -140,13 +140,13 @@ def solve_y(
         math.pi * alpha_outer / denom,
     )
     last_residual = math.inf
-    for _iteration in range(max_iter):
+    for _iteration in range(MAX_ITER_Y):
         y_next = newton_step(y, alpha_inner, alpha_outer)
         if y_next >= upper:
             y_next = 0.5 * (y + upper)
         elif y_next <= 0.0:
             y_next = 0.5 * y
-        done = abs(y_next - y) <= tol * max(1.0, abs(y_next))
+        done = abs(y_next - y) <= TOL * max(1.0, abs(y_next))
         y = y_next
         if done:
             last_residual = (
@@ -155,7 +155,7 @@ def solve_y(
                 + math.pi * y
                 - math.pi
             )
-            if abs(last_residual) <= 10.0 * tol * math.pi:
+            if abs(last_residual) <= 10.0 * TOL * math.pi:
                 return y
             break
     raise NoConvergence(
@@ -246,12 +246,10 @@ def coupling(left: IsolatedWellSolution, right: IsolatedWellSolution) -> Barrier
     )
 
 
-def solve_wells(
-    reduced: ReducedParams, tol: float = 1e-13, max_iter: int = 50
-) -> tuple[IsolatedWellSolution, IsolatedWellSolution]:
+def solve_wells(reduced: ReducedParams) -> tuple[IsolatedWellSolution, IsolatedWellSolution]:
     """Convenience: solve both wells of a reduced spec in isolation."""
-    y_left = solve_y(reduced.alpha_m1, reduced.alpha_m3, tol=tol, max_iter=max_iter)
-    y_right = solve_y(reduced.alpha_1, reduced.alpha_3, tol=tol, max_iter=max_iter)
+    y_left = solve_y(reduced.alpha_m1, reduced.alpha_m3)
+    y_right = solve_y(reduced.alpha_1, reduced.alpha_3)
     left = derive_well(y_left, reduced.alpha_m1, reduced.alpha_m3, reduced.beta_m1)
     right = derive_well(y_right, reduced.alpha_1, reduced.alpha_3, reduced.beta_1)
     return left, right

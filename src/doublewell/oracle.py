@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyUnresolved, EnergyOutOfBand, LevelNotFound
-from .params import WellSpec, band, first_unbound_well, reduce
+from .errors import DegeneracyUnresolved, LevelNotFound
+from .params import WellSpec, band, first_unbound_well, reduce, wavenumbers
 from .tunneling import Parity, solve_double_well
 from .wavefunc import assemble_at_energy, probabilities
 
@@ -80,15 +80,7 @@ def shoot(spec: WellSpec, energy: float) -> ShootResult:
     exactly at the right wall makes the mismatch a signed infinity (its
     pole convention).
     """
-    lo, hi = band(spec)
-    if not (lo < energy < hi):
-        raise EnergyOutOfBand(f"energy {energy!r} outside the bound band ({lo!r}, {hi!r})")
-    two_m = 2.0 * spec.mass
-    kappa_m4 = math.sqrt(two_m * (spec.v_m4 - energy)) / spec.hbar
-    k_m2 = math.sqrt(two_m * (energy - spec.v_m2)) / spec.hbar
-    kappa_0 = math.sqrt(two_m * (spec.v_0 - energy)) / spec.hbar
-    k_2 = math.sqrt(two_m * (energy - spec.v_2)) / spec.hbar
-    kappa_4 = math.sqrt(two_m * (spec.v_4 - energy)) / spec.hbar
+    kappa_m4, k_m2, kappa_0, k_2, kappa_4 = wavenumbers(spec, energy)
 
     nodes = 0
     # Region -2 (left well): u = c cos + d sin in the local coordinate.
@@ -169,11 +161,12 @@ def find_level(spec: WellSpec, which: Parity, tol_rel: float = 1e-13) -> float:
     """Exact eigenvalue of the requested level to relative tolerance.
 
     Scans the bound band on a 10^4-point grid, labels brackets by interior
-    node count (0 for the ground state, 1 for the excited), sharpens the
-    plateau edges by node-count bisection when the plateau is narrower
-    than the grid, and sign-bisects the mismatch inside the plateau.
-    Raises :class:`LevelNotFound` when no admissible bracket exists and
-    :class:`DegeneracyUnresolved` when the found root cannot be separated
+    node count (0 for the ground state, 1 for the excited), sharpens both
+    edges of that node window by node-count bisection, and sign-bisects
+    the mismatch inside it.  Raises :class:`LevelNotFound` when no band
+    energy has the level's node count or the mismatch has no sign change
+    in the window, and :class:`DegeneracyUnresolved` when the window is
+    narrower than float resolution or the found root cannot be separated
     from a neighbouring one at ``tol_rel``.
     """
     unbound = first_unbound_well(reduce(spec))
@@ -188,44 +181,32 @@ def find_level(spec: WellSpec, which: Parity, tol_rel: float = 1e-13) -> float:
     results = [shoot(spec, float(e)) for e in grid]
     node_counts = np.array([r.node_count for r in results])
 
+    # The window of exactly ``target`` nodes opens at the first grid point
+    # with at least that many, sharpened to float resolution below it, and
+    # closes at the first grid point with more, sharpened the same way.
+    reached = np.nonzero(node_counts >= target)[0]
+    beyond = np.nonzero(node_counts > target)[0]
+    stop = int(beyond[0]) if beyond.size else grid.size
+    if not reached.size or stop == 0:
+        raise LevelNotFound(f"no energy on the band scan has {target} interior nodes")
+    start = int(reached[0])
     poles: list[float] = []
     plateau: list[tuple[float, float]] = []  # (energy, mismatch), increasing energy
-    idx = np.nonzero(node_counts == target)[0]
-    if idx.size:
-        first, last = int(idx[0]), int(idx[-1])
-        if first > 0:
-            _, above = _node_transition(
-                spec, float(grid[first - 1]), float(grid[first]), target
-            )
-            poles.append(above)
-            plateau.append((above, shoot(spec, above).mismatch))
-        plateau.extend((float(grid[i]), results[i].mismatch) for i in range(first, last + 1))
-        if last < grid.size - 1:
-            below, above = _node_transition(
-                spec, float(grid[last]), float(grid[last + 1]), target + 1
-            )
-            poles.append(below)
-            plateau.append((below, shoot(spec, below).mismatch))
-    elif target == 1:
-        # The 1-node window fell between grid points: sharpen the 0 -> >=1
-        # transition and check a 1-node plateau actually opens there.
-        jumps = np.nonzero((node_counts[:-1] == 0) & (node_counts[1:] >= 2))[0]
-        if jumps.size == 0:
-            raise LevelNotFound("no energy window with exactly one interior node in the band")
-        j = int(jumps[0])
-        _, above = _node_transition(spec, float(grid[j]), float(grid[j + 1]), 1)
-        if shoot(spec, above).node_count != 1:
+    if start > 0:
+        _, above = _node_transition(spec, float(grid[start - 1]), float(grid[start]), target)
+        edge = shoot(spec, above)
+        if edge.node_count != target:
             raise DegeneracyUnresolved(
-                "the one-node window is narrower than floating-point resolution; "
+                f"the {target}-node window is narrower than floating-point resolution; "
                 "the two lowest levels are numerically degenerate"
             )
         poles.append(above)
-        below2, _ = _node_transition(spec, above, float(grid[j + 1]), 2)
-        poles.append(below2)
-        plateau.append((above, shoot(spec, above).mismatch))
-        plateau.append((below2, shoot(spec, below2).mismatch))
-    else:
-        raise LevelNotFound("no zero-node energies found at the bottom of the band")
+        plateau.append((above, edge.mismatch))
+    plateau.extend((float(grid[i]), results[i].mismatch) for i in range(start, stop))
+    if stop < grid.size:
+        below, _ = _node_transition(spec, plateau[-1][0], float(grid[stop]), target + 1)
+        poles.append(below)
+        plateau.append((below, shoot(spec, below).mismatch))
 
     root = None
     for (e_a, m_a), (e_b, m_b) in zip(plateau, plateau[1:]):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import InvalidSpec
+from .errors import EnergyOutOfBand, InvalidSpec
 
 __all__ = [
     "WellSpec",
@@ -32,6 +32,7 @@ __all__ = [
     "SPEC_KEYS",
     "reduce",
     "band",
+    "wavenumbers",
     "bound_state_exists",
     "first_unbound_well",
     "parse_spec",
@@ -112,8 +113,8 @@ class ReducedParams:
     """Dimensionless reduction of a :class:`WellSpec`.
 
     ``w_m3 .. w_3`` are the four potential steps (energies).  ``k_m2``,
-    ``k_0``, ``k_2`` are the region energy scales K_i; the wavenumbers of
-    an assembled state live in :mod:`doublewell.wavefunc`, not here.
+    ``k_0``, ``k_2`` are the region energy scales K_i; the wavenumbers at
+    a given energy come from :func:`wavenumbers`, not from here.
     """
 
     w_m3: float
@@ -178,6 +179,35 @@ def band(spec: WellSpec) -> tuple[float, float]:
     """The open energy band (max well floor, min wall) that holds both
     levels: above both well floors and below the barrier and outer walls."""
     return max(spec.v_m2, spec.v_2), min(spec.v_m4, spec.v_0, spec.v_4)
+
+
+def wavenumbers(spec: WellSpec, energy: float) -> tuple[float, float, float, float, float]:
+    """``(kappa_m4, k_m2, kappa_0, k_2, kappa_4)``: sqrt(2 m |E - V|) / hbar
+    in each region, left to right, at an energy inside :func:`band`.
+
+    The band check is that all five kinetic terms are positive (NaN fails
+    it); :class:`EnergyOutOfBand` is raised otherwise.
+    """
+    kinetic = (
+        spec.v_m4 - energy,
+        energy - spec.v_m2,
+        spec.v_0 - energy,
+        energy - spec.v_2,
+        spec.v_4 - energy,
+    )
+    if not min(kinetic) > 0.0:
+        lo, hi = band(spec)
+        raise EnergyOutOfBand(f"energy {energy!r} outside the bound band ({lo!r}, {hi!r})")
+    two_m = 2.0 * spec.mass
+    t_m4, t_m2, t_0, t_2, t_4 = kinetic
+    # Written out: a comprehension here slows each oracle shoot by ~10%.
+    return (
+        math.sqrt(two_m * t_m4) / spec.hbar,
+        math.sqrt(two_m * t_m2) / spec.hbar,
+        math.sqrt(two_m * t_0) / spec.hbar,
+        math.sqrt(two_m * t_2) / spec.hbar,
+        math.sqrt(two_m * t_4) / spec.hbar,
+    )
 
 
 def bound_state_exists(alpha_inner: float, alpha_outer: float) -> bool:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .errors import AssumptionViolated, DomainError, NotSymmetric, PerturbationTooLarge
 from .isolated import IsolatedWellSolution, coupling, solve_wells
 from .params import ReducedParams, WellSpec, reduce
-from .tunneling import Parity, _probability_split, solve_r0
+from .tunneling import Parity, _check_trust, _probability_split, solve_r0
 
 __all__ = [
     "SymmetricBase",
@@ -102,15 +102,16 @@ class DeltaLedger:
     a_1: float
 
 
-def symmetric_base(spec: WellSpec, tol: float = 1e-13) -> SymmetricBase:
+def symmetric_base(spec: WellSpec) -> SymmetricBase:
     """Solve the symmetric configuration and package its response inputs.
 
     Raises :class:`NotSymmetric` when the derived well coefficients
     a_left, a_right differ by more than 1e-9 relative, and
-    :class:`AssumptionViolated` when the half-splitting underflows to 0.
+    :class:`AssumptionViolated` when a phase correction sqrt(p)/b exceeds
+    the 0.1 trust threshold or the half-splitting underflows to 0.
     """
     reduced_params = reduce(spec)
-    left, right = solve_wells(reduced_params, tol=tol)
+    left, right = solve_wells(reduced_params)
     a_scale = max(abs(left.a_coef), abs(right.a_coef))
     if abs(right.a_coef - left.a_coef) > 1e-9 * a_scale:
         raise NotSymmetric(
@@ -126,11 +127,11 @@ def symmetric_base(spec: WellSpec, tol: float = 1e-13) -> SymmetricBase:
     )
     f_coef = (sum_right - sum_left) / (2.0 * math.pi)
     g_coef = 1.0 - (sum_right + sum_left) / (2.0 * math.pi)
-    r0, p_small = solve_r0(
-        Parity.GROUND, left.a_coef, right.a_coef, coupling(left, right).p_cap, tol=tol
-    )
+    r0, p_small = solve_r0(Parity.GROUND, left.a_coef, right.a_coef, coupling(left, right).p_cap)
+    root_p = math.sqrt(p_small)
+    _check_trust(root_p / left.b_coef, root_p / right.b_coef)
     a_sym = 0.5 * (left.a_coef + right.a_coef)
-    delta_e = (2.0 * a_sym * reduced_params.k_0 / math.pi**2) * math.sqrt(p_small)
+    delta_e = (2.0 * a_sym * reduced_params.k_0 / math.pi**2) * root_p
     if delta_e == 0.0:
         # Every response formula is in units of delta_e.
         raise AssumptionViolated(

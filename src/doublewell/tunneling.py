@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AssumptionViolated, DomainError, ExcitedBelowZero, NoConvergence
-from .isolated import BarrierCoupling, IsolatedWellSolution, coupling, solve_wells
+from .isolated import TOL, BarrierCoupling, IsolatedWellSolution, coupling, solve_wells
 from .params import ReducedParams, WellSpec, first_unbound_well, reduce
 
 __all__ = [
@@ -41,6 +41,9 @@ __all__ = [
     "coefficient_ratio",
     "solve_double_well",
 ]
+
+#: Default step limit of ``solve_r0``.
+MAX_ITER_R = 100
 
 
 class Parity(str, enum.Enum):
@@ -101,16 +104,16 @@ def solve_r0(
     a_left: float,
     a_right: float,
     p_cap: float,
-    tol: float = 1e-13,
-    max_iter: int = 100,
+    max_iter: int = MAX_ITER_R,
 ) -> tuple[float, float]:
     """Solve the barrier fixed point; returns ``(r0, p_small)``.
 
     The iteration map is a strong contraction (its derivative is of order
-    p itself), so convergence from the start value max(a) (ground) or
-    min(a) (excited) takes only a few steps.  The returned pair is
-    finalized as p = P e^{-2 r_last}, r0 = mean + sqrt(diff^2 + p), making
-    the fixed-point residual evaluate to exactly zero in floating point.
+    p itself), so convergence to the relative step ``isolated.TOL`` from
+    the start value max(a) (ground) or min(a) (excited) takes only a few
+    steps.  The returned pair is finalized as p = P e^{-2 r_last},
+    r0 = mean + sqrt(diff^2 + p), making the fixed-point residual evaluate
+    to exactly zero in floating point.
     Raises :class:`ExcitedBelowZero` when the antisymmetric fixed point
     collapses to r0 <= 0, and :class:`NoConvergence` on iteration failure.
     """
@@ -131,7 +134,7 @@ def solve_r0(
                 f"antisymmetric fixed point fell to {r_next!r} <= 0: "
                 "barrier too weak for a distinct upper level"
             )
-        if abs(r_next - r) <= tol * max(1.0, abs(r_next)):
+        if abs(r_next - r) <= TOL * max(1.0, abs(r_next)):
             p = p_cap * math.exp(-2.0 * r_next)
             return mean + sign * math.sqrt(diff * diff + p), p
         r = r_next
@@ -173,6 +176,17 @@ def _probability_split(z: float) -> tuple[float, float]:
     return 1.0 - small, small
 
 
+def _check_trust(eps_left: float, eps_right: float) -> None:
+    """Raise :class:`AssumptionViolated` when either phase correction
+    exceeds 0.1, the trust boundary of the first-order expansion."""
+    if max(eps_left, eps_right) > 0.1:
+        raise AssumptionViolated(
+            f"phase correction too large: eps_left={eps_left!r}, eps_right={eps_right!r} "
+            "(> 0.1); the barrier is too thin or the wells too detuned for the "
+            "first-order approximation"
+        )
+
+
 def correct_energy(
     parity: Parity,
     left_well: IsolatedWellSolution,
@@ -184,19 +198,14 @@ def correct_energy(
 ) -> CoupledSolution:
     """First-order phase corrections and the coupled level's energy.
 
-    Raises :class:`AssumptionViolated` when either epsilon exceeds 0.1,
-    the trust boundary of the first-order expansion.
+    Raises :class:`AssumptionViolated` when either epsilon exceeds 0.1
+    (:func:`_check_trust`).
     """
     d = 0.5 * (right_well.a_coef - left_well.a_coef)
     gap_left, gap_right = _stable_gaps(parity, d, p_small)
     eps_left = gap_left / left_well.b_coef
     eps_right = gap_right / right_well.b_coef
-    if max(eps_left, eps_right) > 0.1:
-        raise AssumptionViolated(
-            f"phase correction too large: eps_left={eps_left!r}, eps_right={eps_right!r} "
-            "(> 0.1); the barrier is too thin or the wells too detuned for the "
-            "first-order approximation"
-        )
+    _check_trust(eps_left, eps_right)
     flip = -1.0 if parity == Parity.GROUND else 1.0
     y_left = left_well.y_cap * (1.0 + flip * eps_left)
     y_right = right_well.y_cap * (1.0 + flip * eps_right)
@@ -288,13 +297,7 @@ def coefficient_ratio(
     return prefactor * bracket
 
 
-def solve_double_well(
-    spec: WellSpec,
-    tol_y: float = 1e-13,
-    max_iter_y: int = 50,
-    tol_r: float = 1e-13,
-    max_iter_r: int = 100,
-) -> DoubleWellResult:
+def solve_double_well(spec: WellSpec) -> DoubleWellResult:
     """Full approximation pipeline: reduce, solve wells, couple, split."""
     reduced_params = reduce(spec)
     unbound = first_unbound_well(reduced_params)
@@ -302,13 +305,11 @@ def solve_double_well(
         raise DomainError(
             "{} well supports no bound level (alpha_inner={!r}, alpha_outer={!r})".format(*unbound)
         )
-    left, right = solve_wells(reduced_params, tol=tol_y, max_iter=max_iter_y)
+    left, right = solve_wells(reduced_params)
     coup = coupling(left, right)
     solutions = {}
     for parity in (Parity.GROUND, Parity.EXCITED):
-        r0, p_small = solve_r0(
-            parity, left.a_coef, right.a_coef, coup.p_cap, tol=tol_r, max_iter=max_iter_r
-        )
+        r0, p_small = solve_r0(parity, left.a_coef, right.a_coef, coup.p_cap)
         solutions[parity] = correct_energy(
             parity, left, right, r0, p_small, reduced_params, spec
         )

@@ -26,15 +26,9 @@ from typing import Callable, IO
 
 import numpy as np
 
-from .errors import (
-    BadRange,
-    DomainError,
-    EnergyOutOfBand,
-    GridTooCoarse,
-    MatchingResidualTooLarge,
-)
+from .errors import BadRange, DomainError, GridTooCoarse, MatchingResidualTooLarge
 from .isolated import IsolatedWellSolution, derive_well, solve_y
-from .params import ReducedParams, WellSpec, band
+from .params import ReducedParams, WellSpec, wavenumbers
 from .tunneling import CoupledSolution, Parity
 
 __all__ = [
@@ -110,15 +104,9 @@ class SingleWellModel:
     amp_barrier: float
 
 
-def _check_band(spec: WellSpec, energy: float) -> None:
-    lo, hi = band(spec)
-    if not (lo < energy < hi):
-        raise EnergyOutOfBand(
-            f"energy {energy!r} outside the bound band ({lo!r}, {hi!r})"
-        )
-
-
 def _wavenumber(spec: WellSpec, energy: float, potential: float) -> float:
+    # For single_well_model only: an isolated level need not lie inside the
+    # two-well band that params.wavenumbers checks.
     return math.sqrt(2.0 * spec.mass * abs(energy - potential)) / spec.hbar
 
 
@@ -129,13 +117,8 @@ def _assemble_core(
     energy: float,
     r_left: float,
 ) -> WavefunctionModel:
-    _check_band(spec, energy)
     excited = parity == Parity.EXCITED
-    kappa_m4 = _wavenumber(spec, energy, spec.v_m4)
-    kappa_0 = _wavenumber(spec, energy, spec.v_0)
-    kappa_4 = _wavenumber(spec, energy, spec.v_4)
-    k_m2 = _wavenumber(spec, energy, spec.v_m2)
-    k_2 = _wavenumber(spec, energy, spec.v_2)
+    kappa_m4, k_m2, kappa_0, k_2, kappa_4 = wavenumbers(spec, energy)
     y_left = k_m2 * spec.w_m2 / math.pi
     y_right = k_2 * spec.w_2 / math.pi
     s_m3 = reduced.alpha_m3 * y_left
@@ -339,10 +322,7 @@ def assemble_at_energy(
     logarithmic derivative admits no interior barrier extremum (i.e. the
     energy is not an eigenvalue of the requested parity).
     """
-    _check_band(spec, energy)
-    k_m2 = _wavenumber(spec, energy, spec.v_m2)
-    kappa_m4 = _wavenumber(spec, energy, spec.v_m4)
-    kappa_0 = _wavenumber(spec, energy, spec.v_0)
+    kappa_m4, k_m2, kappa_0, _, _ = wavenumbers(spec, energy)
     theta = k_m2 * spec.w_m2
     u = math.cos(theta) + (kappa_m4 / k_m2) * math.sin(theta)
     u_prime = -k_m2 * math.sin(theta) + kappa_m4 * math.cos(theta)

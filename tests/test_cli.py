@@ -147,6 +147,15 @@ class TestPerturb:
         assert out == ""
         assert "underflowed" in err
 
+    @pytest.mark.parametrize("flag", [["--v", "1.5"], ["--ratio", "3"], ["--delta-v", "1e-12"]])
+    def test_thin_barrier_exits_3(self, capsys, tmp_path, flag):
+        # Out of the first-order regime, whichever way the shift is given.
+        path = tmp_path / "thin.spec"
+        path.write_text(spec_text(w_0=EXAMPLE_SPEC.w_2 / 10.0))
+        code, out, err = run_cli(capsys, "perturb", str(path), *flag)
+        assert code == 3
+        assert out == ""
+        assert "phase correction too large" in err
 
     def test_v_flag(self, capsys, spec_file):
         code, out, _ = run_cli(capsys, "perturb", spec_file, "--v", "1")

@@ -11,9 +11,11 @@ from doublewell import (
     EnergyOutOfBand,
     LevelNotFound,
     Parity,
+    ShootResult,
     WellSpec,
     compare,
     find_level,
+    oracle,
     shoot,
     solve_double_well,
 )
@@ -37,10 +39,28 @@ UNBOUND_SPEC = WellSpec(
     w_2=2.0 * math.pi / 3.0,
 )
 
+# Both wells bind a level, but the wide left well is already three nodes deep
+# at the right floor (the bottom of the band), so no band energy has 0 or 1.
+NO_WINDOW_SPEC = WellSpec(
+    hbar=1.0, mass=2.0, v_m4=1.0, v_m2=0.0, v_0=1.0, v_2=0.6, v_4=1.0,
+    w_m2=6.0, w_0=10.0, w_2=2.0,
+)
+
+
+def stub_shoot(window_lo, window_hi, root):
+    """A shoot with 0 nodes below window_lo, 1 up to window_hi and 2 above,
+    and a mismatch that changes sign at root."""
+
+    def stub(spec, energy):
+        nodes = 0 if energy < window_lo else 1 if energy < window_hi else 2
+        return ShootResult(energy=energy, mismatch=energy - root, node_count=nodes)
+
+    return stub
+
 
 class TestShoot:
     def test_rejects_energy_outside_band(self, example_spec):
-        for energy in (-0.5, 0.0, 1.0, 1.5):
+        for energy in (-0.5, 0.0, 1.0, 1.5, math.nan, math.inf):
             with pytest.raises(EnergyOutOfBand):
                 shoot(example_spec, energy)
 
@@ -94,6 +114,22 @@ class TestFindLevel:
     def test_unbound_well_reports_no_level(self):
         with pytest.raises(LevelNotFound):
             find_level(UNBOUND_SPEC, Parity.GROUND)
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_no_band_energy_with_the_node_count(self, parity):
+        with pytest.raises(LevelNotFound):
+            find_level(NO_WINDOW_SPEC, parity)
+
+    def test_window_between_grid_points_is_sharpened(self, monkeypatch, example_spec):
+        # The band is (0, 1), so the scan grid steps by ~1e-4 and no grid
+        # point falls inside the one-node window.
+        monkeypatch.setattr(oracle, "shoot", stub_shoot(0.50001, 0.50003, 0.50002))
+        assert find_level(example_spec, Parity.EXCITED) == pytest.approx(0.50002, rel=1e-13)
+
+    def test_window_closed_at_float_resolution_is_degenerate(self, monkeypatch, example_spec):
+        monkeypatch.setattr(oracle, "shoot", stub_shoot(0.50002, 0.50002, 0.50002))
+        with pytest.raises(DegeneracyUnresolved):
+            find_level(example_spec, Parity.EXCITED)
 
     def test_agrees_with_pipeline_on_random_specs(self):
         rng = random.Random(61)

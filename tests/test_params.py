@@ -6,6 +6,7 @@ import random
 import pytest
 
 from doublewell import InvalidSpec, WellSpec, bound_state_exists, load_spec, parse_spec, reduce
+from doublewell.params import wavenumbers
 from genspecs import EXAMPLE_SPEC, mixed_spec_batch
 
 
@@ -114,6 +115,13 @@ class TestReduce:
         for name in ("alpha_m3", "alpha_m1", "alpha_1", "alpha_3", "beta_m1", "beta_1",
                      "gamma_m3", "gamma_m1", "gamma_1", "gamma_3"):
             assert getattr(red1, name) == pytest.approx(getattr(red0, name), rel=1e-12)
+
+
+class TestWavenumbers:
+    def test_example_at_the_mean_level(self, example_spec):
+        # 2 m |E - V| / hbar^2 is 3 under the walls and barrier, 1 in the wells.
+        root3 = math.sqrt(3.0)
+        assert wavenumbers(example_spec, 0.25) == (root3, 1.0, root3, 1.0, root3)
 
 
 class TestBoundStateExists:

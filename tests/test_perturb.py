@@ -77,6 +77,15 @@ class TestSymmetricBase:
         with pytest.raises(AssumptionViolated, match="underflowed"):
             symmetric_base(thick)
 
+    def test_thin_barrier_is_refused_at_the_trust_threshold(self):
+        # At w_0 = w_2 / 10, eps = sqrt(p) / b is ~0.18 per side, above 0.1:
+        # the same refusal as the full pipeline's.
+        thin = replace(EXAMPLE_SPEC, w_0=EXAMPLE_SPEC.w_2 / 10.0)
+        with pytest.raises(AssumptionViolated, match="phase correction too large"):
+            solve_double_well(thin)
+        with pytest.raises(AssumptionViolated, match="phase correction too large"):
+            symmetric_base(thin)
+
 
 class TestPerturbedLevels:
     def test_zero_shift_is_unperturbed_splitting(self, example_base):
