@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegeneracyUnresolved, LevelNotFound
 from .params import WellSpec, band, first_unbound_well, reduce, wavenumbers
 from .tunneling import Parity, solve_double_well
@@ -160,14 +158,15 @@ def _bisect_mismatch(
 def find_level(spec: WellSpec, which: Parity, tol_rel: float = 1e-13) -> float:
     """Exact eigenvalue of the requested level to relative tolerance.
 
-    Scans the bound band on a 10^4-point grid, labels brackets by interior
-    node count (0 for the ground state, 1 for the excited), sharpens both
-    edges of that node window by node-count bisection, and sign-bisects
-    the mismatch inside it.  Raises :class:`LevelNotFound` when no band
-    energy has the level's node count or the mismatch has no sign change
-    in the window, and :class:`DegeneracyUnresolved` when the window is
-    narrower than float resolution or the found root cannot be separated
-    from a neighbouring one at ``tol_rel``.
+    Labels the level by its interior node count (0 for the ground state, 1
+    for the excited).  The count never decreases with energy, so the window
+    holding exactly that count is bisected to float resolution straight from
+    the two band ends, and the mismatch is sign-bisected inside it.  Raises
+    :class:`LevelNotFound` when no band energy has the level's node count or
+    the mismatch has no sign change in the window, and
+    :class:`DegeneracyUnresolved` when the window is narrower than float
+    resolution or the found root cannot be separated from a neighbouring one
+    at ``tol_rel``.
     """
     unbound = first_unbound_well(reduce(spec))
     if unbound:
@@ -177,52 +176,37 @@ def find_level(spec: WellSpec, which: Parity, tol_rel: float = 1e-13) -> float:
     target = 0 if which == Parity.GROUND else 1
     lo, hi = band(spec)
     inset = 1e-9 * (hi - lo)
-    grid = np.linspace(lo + inset, hi - inset, 10_001)
-    results = [shoot(spec, float(e)) for e in grid]
-    node_counts = np.array([r.node_count for r in results])
+    bottom = shoot(spec, lo + inset)
+    top = shoot(spec, hi - inset)
+    if bottom.node_count > target or top.node_count < target:
+        raise LevelNotFound(f"no band energy has {target} interior nodes")
 
-    # The window of exactly ``target`` nodes opens at the first grid point
-    # with at least that many, sharpened to float resolution below it, and
-    # closes at the first grid point with more, sharpened the same way.
-    reached = np.nonzero(node_counts >= target)[0]
-    beyond = np.nonzero(node_counts > target)[0]
-    stop = int(beyond[0]) if beyond.size else grid.size
-    if not reached.size or stop == 0:
-        raise LevelNotFound(f"no energy on the band scan has {target} interior nodes")
-    start = int(reached[0])
+    # The window of exactly ``target`` nodes opens at the band bottom or at
+    # the first float with that many, and closes at the band top or at the
+    # last float before the count exceeds it.
     poles: list[float] = []
-    plateau: list[tuple[float, float]] = []  # (energy, mismatch), increasing energy
-    if start > 0:
-        _, above = _node_transition(spec, float(grid[start - 1]), float(grid[start]), target)
-        edge = shoot(spec, above)
-        if edge.node_count != target:
+    opening = bottom
+    if bottom.node_count < target:
+        _, above = _node_transition(spec, bottom.energy, top.energy, target)
+        opening = shoot(spec, above)
+        if opening.node_count != target:
             raise DegeneracyUnresolved(
                 f"the {target}-node window is narrower than floating-point resolution; "
                 "the two lowest levels are numerically degenerate"
             )
         poles.append(above)
-        plateau.append((above, edge.mismatch))
-    plateau.extend((float(grid[i]), results[i].mismatch) for i in range(start, stop))
-    if stop < grid.size:
-        below, _ = _node_transition(spec, plateau[-1][0], float(grid[stop]), target + 1)
+    closing = top
+    if top.node_count > target:
+        below, _ = _node_transition(spec, opening.energy, top.energy, target + 1)
+        closing = shoot(spec, below)
         poles.append(below)
-        plateau.append((below, shoot(spec, below).mismatch))
 
-    root = None
-    for (e_a, m_a), (e_b, m_b) in zip(plateau, plateau[1:]):
-        if m_a == 0.0:
-            root = e_a
-            break
-        if m_b == 0.0:
-            root = e_b
-            break
-        if (m_a > 0.0) != (m_b > 0.0):
-            root = _bisect_mismatch(spec, e_a, m_a, e_b, m_b, tol_rel)
-            break
-    if root is None:
+    m_lo, m_hi = opening.mismatch, closing.mismatch
+    if m_lo != 0.0 and m_hi != 0.0 and (m_lo > 0.0) == (m_hi > 0.0):
         raise LevelNotFound(
             f"mismatch has no sign change inside the {target}-node window"
         )
+    root = _bisect_mismatch(spec, opening.energy, m_lo, closing.energy, m_hi, tol_rel)
     tol_abs = tol_rel * abs(root) if root != 0.0 else tol_rel * (hi - lo)
     for pole in poles:
         if abs(root - pole) < tol_abs:

@@ -11,13 +11,11 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from doublewell import (
     Parity,
     assemble,
     coupling,
-    derive_well,
     evaluate,
     find_level,
     compare,

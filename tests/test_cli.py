@@ -1,7 +1,6 @@
 """Command-line interface: JSON reports, CSV output, exit codes."""
 
 import json
-import math
 import os
 import shutil
 import subprocess

@@ -19,7 +19,7 @@ from doublewell import (
     shoot,
     solve_double_well,
 )
-from genspecs import EXAMPLE_SPEC, random_symmetric_spec
+from genspecs import random_symmetric_spec
 from oracles import (
     EXAMPLE_E0_EXACT,
     EXAMPLE_E1_EXACT,
@@ -121,10 +121,26 @@ class TestFindLevel:
             find_level(NO_WINDOW_SPEC, parity)
 
     def test_window_between_grid_points_is_sharpened(self, monkeypatch, example_spec):
-        # The band is (0, 1), so the scan grid steps by ~1e-4 and no grid
-        # point falls inside the one-node window.
+        # The band is (0, 1) and the one-node window is 2e-5 wide inside it:
+        # both its edges are bisected from the band ends.
         monkeypatch.setattr(oracle, "shoot", stub_shoot(0.50001, 0.50003, 0.50002))
         assert find_level(example_spec, Parity.EXCITED) == pytest.approx(0.50002, rel=1e-13)
+
+    def test_window_opening_at_the_band_bottom_has_no_pole(self, monkeypatch, example_spec):
+        # The band bottom (0, shot at 1e-9) already has one node, so it is no
+        # node-count pole and a root right on it is not refused as one.
+        monkeypatch.setattr(oracle, "shoot", stub_shoot(0.0, 0.5, 1e-9))
+        assert find_level(example_spec, Parity.EXCITED) == 1e-9
+
+    def test_window_closing_at_the_band_top_has_no_pole(self, monkeypatch, example_spec):
+        # The band top (1, shot at 1 - 1e-9) still has one node.
+        monkeypatch.setattr(oracle, "shoot", stub_shoot(0.5, 2.0, 1.0 - 1e-9))
+        assert find_level(example_spec, Parity.EXCITED) == 1.0 - 1e-9
+
+    def test_band_top_below_the_node_count(self, monkeypatch, example_spec):
+        monkeypatch.setattr(oracle, "shoot", stub_shoot(2.0, 3.0, 0.5))
+        with pytest.raises(LevelNotFound):
+            find_level(example_spec, Parity.EXCITED)
 
     def test_window_closed_at_float_resolution_is_degenerate(self, monkeypatch, example_spec):
         monkeypatch.setattr(oracle, "shoot", stub_shoot(0.50002, 0.50002, 0.50002))
@@ -153,6 +169,18 @@ class TestFindLevel:
 
 
 class TestCompare:
+    def test_shoot_budget(self, monkeypatch, example_spec):
+        calls = []
+        real_shoot = oracle.shoot
+
+        def counting_shoot(spec, energy):
+            calls.append(energy)
+            return real_shoot(spec, energy)
+
+        monkeypatch.setattr(oracle, "shoot", counting_shoot)
+        compare(example_spec)
+        assert len(calls) <= 300
+
     def test_example_errors_are_small(self, example_spec):
         report = compare(example_spec)
         assert report.err_e0 <= 1e-9

@@ -17,7 +17,7 @@ from doublewell import (
     solve_double_well,
     solve_r0,
 )
-from genspecs import EXAMPLE_SPEC, asymmetric_spec, mixed_spec_batch, random_symmetric_spec
+from genspecs import asymmetric_spec, mixed_spec_batch, random_symmetric_spec
 from oracles import damped_fixed_point
 
 

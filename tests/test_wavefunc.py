@@ -30,7 +30,7 @@ from doublewell import (
     write_sample_csv,
 )
 from doublewell.wavefunc import _boundary_pairs
-from genspecs import EXAMPLE_SPEC, mixed_spec_batch, random_symmetric_spec
+from genspecs import mixed_spec_batch, random_symmetric_spec
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
