@@ -8,149 +8,67 @@ localization probabilities, piecewise wavefunctions, and the response to
 a small antisymmetric shift of the two well depths.  An independent exact
 transcendental solver (:mod:`doublewell.oracle`) quantifies the
 approximation error.
+
+The public names below are re-exported lazily (PEP 562): ``import
+doublewell`` loads no submodule, and the first access to a name imports
+the submodule that defines it.  numpy is imported only by the array
+evaluators and sampling of :mod:`doublewell.wavefunc`.
 """
 
-from .errors import (
-    AssumptionViolated,
-    BadRange,
-    DegeneracyUnresolved,
-    DomainError,
-    DoubleWellError,
-    EnergyOutOfBand,
-    ExcitedBelowZero,
-    GridTooCoarse,
-    InvalidSpec,
-    LevelNotFound,
-    MatchingResidualTooLarge,
-    NoConvergence,
-    NotSymmetric,
-    PerturbationTooLarge,
-    SeriesUnreliable,
-)
-from .isolated import (
-    BarrierCoupling,
-    IsolatedWellSolution,
-    coupling,
-    derive_well,
-    newton_initial,
-    newton_step,
-    series_y,
-    solve_wells,
-    solve_y,
-)
-from .oracle import OracleComparison, ShootResult, compare, find_level, shoot
-from .params import ReducedParams, WellSpec, bound_state_exists, load_spec, parse_spec, reduce
-from .perturb import (
-    DeltaLedger,
-    PerturbedLevels,
-    SymmetricBase,
-    delta_ledger,
-    invert_ratio,
-    perturbed_levels,
-    symmetric_base,
-    two_level_check,
-)
-from .tunneling import (
-    CoupledSolution,
-    DoubleWellResult,
-    Parity,
-    SplittingResult,
-    coefficient_ratio,
-    correct_energy,
-    solve_double_well,
-    solve_r0,
-    splitting,
-)
-from .wavefunc import (
-    SingleWellModel,
-    WavefunctionModel,
-    assemble,
-    assemble_at_energy,
-    closed_form_probabilities,
-    derivative,
-    evaluate,
-    evaluate_single,
-    probabilities,
-    sample,
-    single_well_model,
-    superpose,
-    write_sample_csv,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "DoubleWellError",
-    "InvalidSpec",
-    "DomainError",
-    "NotSymmetric",
-    "PerturbationTooLarge",
-    "EnergyOutOfBand",
-    "GridTooCoarse",
-    "BadRange",
-    "NoConvergence",
-    "ExcitedBelowZero",
-    "AssumptionViolated",
-    "MatchingResidualTooLarge",
-    "LevelNotFound",
-    "DegeneracyUnresolved",
-    "SeriesUnreliable",
-    # params
-    "WellSpec",
-    "ReducedParams",
-    "reduce",
-    "bound_state_exists",
-    "parse_spec",
-    "load_spec",
-    # isolated wells
-    "IsolatedWellSolution",
-    "BarrierCoupling",
-    "newton_initial",
-    "newton_step",
-    "solve_y",
-    "series_y",
-    "derive_well",
-    "coupling",
-    "solve_wells",
-    # tunneling
-    "Parity",
-    "CoupledSolution",
-    "SplittingResult",
-    "DoubleWellResult",
-    "solve_r0",
-    "correct_energy",
-    "splitting",
-    "coefficient_ratio",
-    "solve_double_well",
-    # perturbation
-    "SymmetricBase",
-    "PerturbedLevels",
-    "DeltaLedger",
-    "symmetric_base",
-    "delta_ledger",
-    "perturbed_levels",
-    "invert_ratio",
-    "two_level_check",
-    # wavefunctions
-    "WavefunctionModel",
-    "SingleWellModel",
-    "assemble",
-    "assemble_at_energy",
-    "evaluate",
-    "derivative",
-    "probabilities",
-    "closed_form_probabilities",
-    "single_well_model",
-    "evaluate_single",
-    "superpose",
-    "sample",
-    "write_sample_csv",
-    # oracle
-    "ShootResult",
-    "OracleComparison",
-    "shoot",
-    "find_level",
-    "compare",
-]
+# Public names per defining submodule.
+_EXPORTS = {
+    "errors": (
+        "DoubleWellError", "InvalidSpec", "DomainError", "NotSymmetric",
+        "PerturbationTooLarge", "EnergyOutOfBand", "GridTooCoarse", "BadRange",
+        "NoConvergence", "ExcitedBelowZero", "AssumptionViolated",
+        "MatchingResidualTooLarge", "LevelNotFound", "DegeneracyUnresolved",
+        "SeriesUnreliable",
+    ),
+    "params": (
+        "WellSpec", "ReducedParams", "reduce", "bound_state_exists", "parse_spec",
+        "load_spec",
+    ),
+    "isolated": (
+        "IsolatedWellSolution", "BarrierCoupling", "newton_initial", "newton_step",
+        "solve_y", "series_y", "derive_well", "coupling", "solve_wells",
+    ),
+    "tunneling": (
+        "Parity", "CoupledSolution", "SplittingResult", "DoubleWellResult", "solve_r0",
+        "correct_energy", "splitting", "coefficient_ratio", "solve_double_well",
+    ),
+    "perturb": (
+        "SymmetricBase", "PerturbedLevels", "DeltaLedger", "symmetric_base",
+        "delta_ledger", "perturbed_levels", "invert_ratio", "two_level_check",
+    ),
+    "wavefunc": (
+        "WavefunctionModel", "SingleWellModel", "assemble", "assemble_at_energy",
+        "evaluate", "derivative", "probabilities", "closed_form_probabilities",
+        "single_well_model", "evaluate_single", "superpose", "sample",
+        "write_sample_csv",
+    ),
+    "oracle": (
+        "ShootResult", "OracleComparison", "shoot", "find_level", "compare",
+    ),
+}
+
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_SOURCE]
+
+
+def __getattr__(name: str):
+    try:
+        module = _SOURCE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

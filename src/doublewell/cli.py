@@ -26,8 +26,6 @@ import sys
 from collections.abc import Sequence
 from dataclasses import fields
 
-import numpy as np
-
 from .errors import (
     AssumptionViolated,
     BadRange,
@@ -189,6 +187,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: cannot write {args.out!r}: {exc}\n")
         return 6
+    import numpy as np
+
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     norm = float(trapezoid(table[:, 1] ** 2, table[:, 0]))
     sys.stderr.write(

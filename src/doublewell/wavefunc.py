@@ -22,14 +22,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, IO
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, IO
 
 from .errors import BadRange, DomainError, GridTooCoarse, MatchingResidualTooLarge
 from .isolated import IsolatedWellSolution, derive_well, solve_y
 from .params import ReducedParams, WellSpec, wavenumbers
 from .tunneling import CoupledSolution, Parity
+
+# numpy is imported inside the array paths only, so the scalar paths
+# (assemble, probabilities, and the oracle through them) never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "WavefunctionModel",
@@ -241,6 +244,8 @@ def _piece(piece: Piece, xs, slope: bool, lib):
 def _field(model: WavefunctionModel | SingleWellModel, x, slope: bool):
     """psi, or dpsi/dx when ``slope``, of a piecewise state at a scalar or an
     array of positions.  NaN lies in no region and gives NaN."""
+    import numpy as np
+
     xs = np.asarray(x, dtype=float)
     points = np.atleast_1d(xs)
     edges, pieces, left_owned = _pieces(model)
@@ -454,6 +459,8 @@ def superpose(
     shortest_wavelength = 2.0 * math.pi / max(left_state.k, right_state.k)
 
     def sampled(x: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         xs = np.asarray(x, dtype=float)
         if xs.ndim != 1 or xs.size < 2:
             raise GridTooCoarse("superposition sampling needs a 1-D grid of >= 2 points")
@@ -478,6 +485,8 @@ def sample(
         raise BadRange(f"need finite x_min < x_max, got {x_min!r}, {x_max!r}")
     if int(n_points) != n_points or n_points < 2:
         raise BadRange(f"need an integer n_points >= 2, got {n_points!r}")
+    import numpy as np
+
     xs = np.linspace(x_min, x_max, int(n_points))
     return np.column_stack((xs, _field(model, xs, False), _field(model, xs, True)))
 

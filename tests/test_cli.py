@@ -28,6 +28,17 @@ sys.argv = [name, *args]
 sys.exit(main())
 """
 
+# Runs ``python -m doublewell`` with the given arguments and reports on stderr,
+# after every other exit handler, whether numpy was imported.
+NUMPY_PROBE = """
+import atexit
+import runpy
+import sys
+atexit.register(lambda: sys.stderr.write(f"\\nnumpy imported: {'numpy' in sys.modules}\\n"))
+sys.argv = ["doublewell", *sys.argv[1:]]
+runpy.run_module("doublewell", run_name="__main__", alter_sys=True)
+"""
+
 
 def child_env():
     """Environment whose PYTHONPATH finds the doublewell package imported here,
@@ -366,3 +377,62 @@ class TestInstalledEntryPoints:
         proc = subprocess.run([exe, "paper-example"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "FAIL" not in proc.stdout
+
+
+class TestColdStart:
+    """Only ``sample`` and the array evaluators pay for importing numpy."""
+
+    def probe(self, *argv):
+        return subprocess.run(
+            [sys.executable, "-c", NUMPY_PROBE, *argv],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+
+    def test_import_loads_no_numpy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, doublewell; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve"],
+            ["solve", "--verbose"],
+            ["perturb", "--v", "1"],
+            ["oracle"],
+        ],
+        ids=" ".join,
+    )
+    def test_spec_commands_load_no_numpy(self, spec_file, argv):
+        proc = self.probe(argv[0], spec_file, *argv[1:])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["splitting"]["e_bar"] == pytest.approx(0.25)
+        assert proc.stderr.endswith("\nnumpy imported: False\n")
+
+    def test_paper_example_loads_no_numpy(self):
+        proc = self.probe("paper-example")
+        assert proc.returncode == 0, proc.stderr
+        assert "FAIL" not in proc.stdout
+        assert proc.stderr.endswith("\nnumpy imported: False\n")
+
+    def test_error_exit_loads_no_numpy(self, tmp_path):
+        path = tmp_path / "thin.spec"
+        path.write_text(spec_text(w_0=EXAMPLE_SPEC.w_2 / 10.0))
+        proc = self.probe("solve", str(path))
+        assert proc.returncode == 3
+        assert "oracle" in proc.stderr
+        assert proc.stderr.endswith("\nnumpy imported: False\n")
+
+    def test_sample_loads_numpy(self, spec_file, tmp_path):
+        out = tmp_path / "psi.csv"
+        proc = self.probe("sample", spec_file, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text().startswith("x,psi,dpsi\n")
+        assert proc.stderr.endswith("\nnumpy imported: True\n")
