@@ -26,22 +26,7 @@ import sys
 from collections.abc import Sequence
 from dataclasses import fields
 
-from .errors import (
-    AssumptionViolated,
-    BadRange,
-    DegeneracyUnresolved,
-    DomainError,
-    DoubleWellError,
-    EnergyOutOfBand,
-    ExcitedBelowZero,
-    GridTooCoarse,
-    InvalidSpec,
-    LevelNotFound,
-    MatchingResidualTooLarge,
-    NoConvergence,
-    NotSymmetric,
-    PerturbationTooLarge,
-)
+from .errors import DegeneracyUnresolved, DoubleWellError, LevelNotFound, NotSymmetric
 from .isolated import newton_initial, newton_step, series_y
 from .oracle import compare
 from .params import WellSpec, load_spec, reduce
@@ -95,7 +80,7 @@ def build_report(result: DoubleWellResult) -> dict:
         "coupling": _section(result.coupling),
     }
     for solution in (result.ground, result.excited):
-        ratio = coefficient_ratio(solution.parity, solution, result.left, result.right)
+        ratio = coefficient_ratio(solution, result.left, result.right)
         report[solution.parity.value] = _section(solution) | {"coefficient_ratio": ratio}
     report["splitting"] = _section(result.splitting)
     return report
@@ -335,8 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Exit code and stderr hint per exception, first match wins; see the module
-# docstring for what each code means.
+# Exit code and stderr hint per exception, first match wins. Past NotSymmetric
+# and the oracle's two errors, a package error's code follows its base in
+# ``errors``: RuntimeError-like solver trouble 3, ValueError-like bad input 2.
+# See the module docstring for what each code means.
 EXIT_CODES = (
     (NotSymmetric, 4, ""),
     (
@@ -348,17 +335,12 @@ EXIT_CODES = (
         "--tol is coarser than the level splitting.\n",
     ),
     (
-        (AssumptionViolated, NoConvergence, ExcitedBelowZero, MatchingResidualTooLarge),
+        RuntimeError,
         3,
         "hint: the closed-form approximation does not apply to this potential; "
         "use the `oracle` subcommand for exact energies.\n",
     ),
-    (
-        (InvalidSpec, DomainError, PerturbationTooLarge, EnergyOutOfBand, GridTooCoarse, BadRange),
-        2,
-        "",
-    ),
-    (OSError, 2, ""),
+    ((ValueError, OSError), 2, ""),
 )
 
 

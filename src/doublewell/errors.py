@@ -3,7 +3,8 @@
 Every error raised on purpose by this package derives from
 :class:`DoubleWellError`, so callers can catch one base class.  The split
 into ``ValueError``-like (bad inputs) and ``RuntimeError``-like (solver
-trouble) mirrors how the conditions arise.
+trouble) mirrors how the conditions arise, and the CLI picks a class's exit
+code by that base (``cli.EXIT_CODES``).
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError, NoConvergence, SeriesUnreliable
-from .params import ReducedParams
+from .params import ReducedParams, first_unbound_well
 
 __all__ = [
     "IsolatedWellSolution",
@@ -247,7 +247,13 @@ def coupling(left: IsolatedWellSolution, right: IsolatedWellSolution) -> Barrier
 
 
 def solve_wells(reduced: ReducedParams) -> tuple[IsolatedWellSolution, IsolatedWellSolution]:
-    """Convenience: solve both wells of a reduced spec in isolation."""
+    """Solve both wells of a reduced spec in isolation; :class:`DomainError`
+    names the first well, left before right, that binds no level."""
+    unbound = first_unbound_well(reduced)
+    if unbound:
+        raise DomainError(
+            "{} well supports no bound level (alpha_inner={!r}, alpha_outer={!r})".format(*unbound)
+        )
     y_left = solve_y(reduced.alpha_m1, reduced.alpha_m3)
     y_right = solve_y(reduced.alpha_1, reduced.alpha_3)
     left = derive_well(y_left, reduced.alpha_m1, reduced.alpha_m3, reduced.beta_m1)

@@ -22,7 +22,7 @@ inner steps and W_1 = V_0 - V_2, W_3 = V_4 - V_2 the right well's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import EnergyOutOfBand, InvalidSpec
 
@@ -38,22 +38,6 @@ __all__ = [
     "parse_spec",
     "load_spec",
 ]
-
-#: Recognized keys of the flat ``key = value`` spec file, in canonical order.
-SPEC_KEYS = (
-    "hbar",
-    "mass",
-    "v_m4",
-    "v_m2",
-    "v_0",
-    "v_2",
-    "v_4",
-    "w_m2",
-    "w_0",
-    "w_2",
-    "x_m3",
-)
-
 
 @dataclass(frozen=True, slots=True)
 class WellSpec:
@@ -106,6 +90,10 @@ class WellSpec:
     def x_3(self) -> float:
         """Right outer boundary (right well / outer wall)."""
         return self.x_1 + self.w_2
+
+
+#: Recognized keys of the flat ``key = value`` spec file, in canonical order.
+SPEC_KEYS = tuple(f.name for f in fields(WellSpec))
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,7 +250,7 @@ def parse_spec(text: str) -> WellSpec:
             values[key] = float(rhs.strip())
         except ValueError:
             raise InvalidSpec(f"line {lineno}: {key} is not a number: {rhs.strip()!r}") from None
-    missing = [k for k in SPEC_KEYS if k != "x_m3" and k not in values]
+    missing = [f.name for f in fields(WellSpec) if f.default is MISSING and f.name not in values]
     if missing:
         raise InvalidSpec(f"missing keys: {', '.join(missing)}")
     return WellSpec(**values)

@@ -167,6 +167,28 @@ def _require_small(delta_v: float, min_depth: float) -> None:
         )
 
 
+def _well_shifts(
+    well: IsolatedWellSolution, w_inner: float, w_outer: float, sign: float, delta_v: float
+) -> tuple[float, float, float, float, float, float]:
+    """``(alpha_outer, alpha_inner, y, s_outer, s_inner, a)`` shifts of one
+    well whose floor moves by ``sign * delta_v`` (sign +1.0 raises it)."""
+    scale = -sign * (well.u_cap / (2.0 * math.pi))
+    pi_y = math.pi * well.y_cap
+    return (
+        sign * delta_v / (2.0 * w_outer),
+        sign * delta_v / (2.0 * w_inner),
+        scale * (well.t_inner / w_inner + well.t_outer / w_outer) * delta_v,
+        scale * (well.t_inner / w_inner - (well.t_inner + pi_y) / w_outer) * delta_v,
+        scale * (well.t_outer / w_outer - (well.t_outer + pi_y) / w_inner) * delta_v,
+        scale
+        * (
+            (well.s_inner * well.c_inner + well.t_outer + pi_y) / (well.c_inner**2 * w_inner)
+            - well.t_inner**2 * well.t_outer / w_outer
+        )
+        * delta_v,
+    )
+
+
 def delta_ledger(
     base: SymmetricBase, reduced: ReducedParams, delta_v: float
 ) -> DeltaLedger:
@@ -178,43 +200,15 @@ def delta_ledger(
     """
     _require_small(delta_v, base.min_depth)
     left, right = base.wells
-    w_m3, w_m1, w_1, w_3 = reduced.w_m3, reduced.w_m1, reduced.w_1, reduced.w_3
-    two_pi = 2.0 * math.pi
-    pi_y_left = math.pi * left.y_cap
-    pi_y_right = math.pi * right.y_cap
+    alpha_m3, alpha_m1, y_m2, s_m3, s_m1, a_m1 = _well_shifts(
+        left, reduced.w_m1, reduced.w_m3, 1.0, delta_v
+    )
+    alpha_3, alpha_1, y_2, s_3, s_1, a_1 = _well_shifts(
+        right, reduced.w_1, reduced.w_3, -1.0, delta_v
+    )
     return DeltaLedger(
-        alpha_m3=+delta_v / (2.0 * w_m3),
-        alpha_m1=+delta_v / (2.0 * w_m1),
-        alpha_1=-delta_v / (2.0 * w_1),
-        alpha_3=-delta_v / (2.0 * w_3),
-        y_m2=-(left.u_cap / two_pi) * (left.t_inner / w_m1 + left.t_outer / w_m3) * delta_v,
-        y_2=+(right.u_cap / two_pi) * (right.t_inner / w_1 + right.t_outer / w_3) * delta_v,
-        s_m3=-(left.u_cap / two_pi)
-        * (left.t_inner / w_m1 - (left.t_inner + pi_y_left) / w_m3)
-        * delta_v,
-        s_m1=-(left.u_cap / two_pi)
-        * (left.t_outer / w_m3 - (left.t_outer + pi_y_left) / w_m1)
-        * delta_v,
-        s_1=+(right.u_cap / two_pi)
-        * (right.t_outer / w_3 - (right.t_outer + pi_y_right) / w_1)
-        * delta_v,
-        s_3=+(right.u_cap / two_pi)
-        * (right.t_inner / w_1 - (right.t_inner + pi_y_right) / w_3)
-        * delta_v,
-        a_m1=-(left.u_cap / two_pi)
-        * (
-            (left.s_inner * left.c_inner + left.t_outer + pi_y_left)
-            / (left.c_inner**2 * w_m1)
-            - left.t_inner**2 * left.t_outer / w_m3
-        )
-        * delta_v,
-        a_1=+(right.u_cap / two_pi)
-        * (
-            (right.s_inner * right.c_inner + right.t_outer + pi_y_right)
-            / (right.c_inner**2 * w_1)
-            - right.t_inner**2 * right.t_outer / w_3
-        )
-        * delta_v,
+        alpha_m3=alpha_m3, alpha_m1=alpha_m1, alpha_1=alpha_1, alpha_3=alpha_3, y_m2=y_m2,
+        y_2=y_2, s_m3=s_m3, s_m1=s_m1, s_1=s_1, s_3=s_3, a_m1=a_m1, a_1=a_1,
     )
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import AssumptionViolated, DomainError, ExcitedBelowZero, NoConvergence
 from .isolated import TOL, BarrierCoupling, IsolatedWellSolution, coupling, solve_wells
-from .params import ReducedParams, WellSpec, first_unbound_well, reduce
+from .params import ReducedParams, WellSpec, reduce
 
 __all__ = [
     "Parity",
@@ -263,7 +263,6 @@ def splitting(ground: CoupledSolution, excited: CoupledSolution) -> SplittingRes
 
 
 def coefficient_ratio(
-    parity: Parity,
     solution: CoupledSolution,
     left_well: IsolatedWellSolution,
     right_well: IsolatedWellSolution,
@@ -300,11 +299,6 @@ def coefficient_ratio(
 def solve_double_well(spec: WellSpec) -> DoubleWellResult:
     """Full approximation pipeline: reduce, solve wells, couple, split."""
     reduced_params = reduce(spec)
-    unbound = first_unbound_well(reduced_params)
-    if unbound:
-        raise DomainError(
-            "{} well supports no bound level (alpha_inner={!r}, alpha_outer={!r})".format(*unbound)
-        )
     left, right = solve_wells(reduced_params)
     coup = coupling(left, right)
     solutions = {}

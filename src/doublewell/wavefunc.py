@@ -79,10 +79,6 @@ class WavefunctionModel:
     amp_0: float
     amp_2: float
     amp_4: float
-    phase_m3: float
-    phase_m1: float
-    phase_1: float
-    phase_3: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,10 +163,6 @@ def _assemble_core(
         kappa_4=kappa_4,
         k_m2=k_m2,
         k_2=k_2,
-        phase_m3=phase_m3,
-        phase_m1=phase_m1,
-        phase_1=phase_1,
-        phase_3=phase_3,
         **amps,
     )
     scale = 1.0 / math.sqrt(sum(probabilities(model)))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import doublewell
+from doublewell import errors
 from doublewell.cli import main
 from genspecs import EXAMPLE_SPEC
 
@@ -326,6 +327,75 @@ class TestParsing:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "solve" in out and "perturb" in out
+
+
+HINT_3 = (
+    "hint: the closed-form approximation does not apply to this potential; "
+    "use the `oracle` subcommand for exact energies.\n"
+)
+HINT_5 = (
+    "hint: LevelNotFound means the exact solver found no sign change of the "
+    "matching mismatch inside the level's node-count window, as when the two "
+    "levels are degenerate at float64 resolution; DegeneracyUnresolved means "
+    "--tol is coarser than the level splitting.\n"
+)
+
+# Exit code and stderr hint of every error the package raises on purpose.
+EXPECTED_EXITS = {
+    "InvalidSpec": (2, ""),
+    "DomainError": (2, ""),
+    "PerturbationTooLarge": (2, ""),
+    "EnergyOutOfBand": (2, ""),
+    "GridTooCoarse": (2, ""),
+    "BadRange": (2, ""),
+    "NoConvergence": (3, HINT_3),
+    "ExcitedBelowZero": (3, HINT_3),
+    "AssumptionViolated": (3, HINT_3),
+    "MatchingResidualTooLarge": (3, HINT_3),
+    "NotSymmetric": (4, ""),
+    "LevelNotFound": (5, HINT_5),
+    "DegeneracyUnresolved": (5, HINT_5),
+}
+
+
+class TestExitCodes:
+    def _raise_from_load_spec(self, monkeypatch, exc):
+        def load_spec(path):
+            raise exc
+
+        monkeypatch.setattr("doublewell.cli.load_spec", load_spec)
+
+    def test_every_error_class_is_listed(self):
+        assert set(EXPECTED_EXITS) == set(errors.__all__) - {"DoubleWellError", "SeriesUnreliable"}
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_EXITS))
+    def test_error_reaches_its_exit_code(self, capsys, monkeypatch, name):
+        cls = getattr(errors, name)
+        exc = cls("boom", 0.0, 0.0) if cls is errors.NoConvergence else cls("boom")
+        self._raise_from_load_spec(monkeypatch, exc)
+        code, out, err = run_cli(capsys, "solve", "any.spec")
+        want_code, hint = EXPECTED_EXITS[name]
+        assert (code, out, err) == (want_code, "", f"error: {exc}\n{hint}")
+
+    def test_os_error_exits_2(self, capsys, monkeypatch):
+        self._raise_from_load_spec(monkeypatch, FileNotFoundError("no such file"))
+        assert run_cli(capsys, "solve", "any.spec") == (2, "", "error: no such file\n")
+
+    def test_bare_base_class_propagates(self, capsys, monkeypatch):
+        self._raise_from_load_spec(monkeypatch, errors.DoubleWellError("boom"))
+        with pytest.raises(errors.DoubleWellError):
+            main(["solve", "any.spec"])
+
+    @pytest.mark.parametrize("argv", [["solve"], ["perturb", "--v", "1"], ["oracle"]])
+    def test_unbound_well_exits_2_for_every_subcommand(self, capsys, tmp_path, argv):
+        # The left well's outer wall is too low for the well to bind a level.
+        path = tmp_path / "unbound.spec"
+        path.write_text(
+            spec_text(v_m4=0.001, v_4=0.001, w_m2=1.0, w_0=10.0, w_2=1.0)
+        )
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: left well supports no bound level")
 
 
 class TestInstalledEntryPoints:

@@ -70,6 +70,13 @@ class TestSymmetricBase:
         with pytest.raises(NotSymmetric):
             symmetric_base(asymmetric_spec(rng, eta=1e-4))
 
+    def test_unbound_well_is_refused(self):
+        # Outer walls too low for either well to bind a level: the same
+        # refusal as the full pipeline's, before any phase solve.
+        low_walls = replace(EXAMPLE_SPEC, v_m4=0.001, v_4=0.001, w_m2=1.0, w_0=10.0, w_2=1.0)
+        for solver in (solve_double_well, symmetric_base):
+            with pytest.raises(DomainError, match="left well supports no bound level"):
+                solver(low_walls)
 
     def test_underflowed_splitting_is_refused(self):
         # At 25 times the example barrier r0 ~ 453, so p = P e^{-2 r0} is 0.

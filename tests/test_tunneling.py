@@ -193,16 +193,16 @@ class TestSplitting:
 class TestCoefficientRatio:
     def test_symmetric_spec_ratio_is_one(self, example_spec):
         res = solve_double_well(example_spec)
-        for parity, level in ((Parity.GROUND, res.ground), (Parity.EXCITED, res.excited)):
-            ratio = coefficient_ratio(parity, level, res.left, res.right)
+        for level in (res.ground, res.excited):
+            ratio = coefficient_ratio(level, res.left, res.right)
             assert ratio == pytest.approx(1.0, rel=1e-12)
 
     def test_detuned_example_reference_values(self, example_spec):
         delta = 1.7681030756044489e-09  # one half-splitting of depth detuning
         spec = replace(example_spec, v_m2=example_spec.v_m2 + delta, v_2=example_spec.v_2 - delta)
         res = solve_double_well(spec)
-        ground = coefficient_ratio(Parity.GROUND, res.ground, res.left, res.right)
-        excited = coefficient_ratio(Parity.EXCITED, res.excited, res.left, res.right)
+        ground = coefficient_ratio(res.ground, res.left, res.right)
+        excited = coefficient_ratio(res.excited, res.left, res.right)
         assert ground == pytest.approx(0.19509541665478597, rel=1e-9)
         assert excited == pytest.approx(5.125696634490155, rel=1e-9)
 
@@ -212,8 +212,8 @@ class TestCoefficientRatio:
             spec = asymmetric_spec(rng, a_target=rng.uniform(26.0, 30.0),
                                    eta=rng.choice([-1.0, 1.0]) * 1e-12)
             res = solve_double_well(spec)
-            ground = coefficient_ratio(Parity.GROUND, res.ground, res.left, res.right)
-            excited = coefficient_ratio(Parity.EXCITED, res.excited, res.left, res.right)
+            ground = coefficient_ratio(res.ground, res.left, res.right)
+            excited = coefficient_ratio(res.excited, res.left, res.right)
             pref = (res.right.s_inner**2 * res.left.b_coef * res.left.c_coef) / (
                 res.left.s_inner**2 * res.right.b_coef * res.right.c_coef
             )
