@@ -329,10 +329,11 @@ EXIT_CODES = (
     (
         (LevelNotFound, DegeneracyUnresolved),
         5,
-        "hint: LevelNotFound means the exact solver found no sign change of the "
-        "matching mismatch inside the level's node-count window, as when the two "
-        "levels are degenerate at float64 resolution; DegeneracyUnresolved means "
-        "--tol is coarser than the level splitting.\n",
+        "hint: LevelNotFound means the exact solver found no band energy with the "
+        "level's node count, or no sign change of the matching mismatch inside a "
+        "node-count window bounded by the band ends; DegeneracyUnresolved means the "
+        "two levels are degenerate at float64 resolution, or --tol is coarser than "
+        "the level splitting.\n",
     ),
     (
         RuntimeError,

@@ -163,10 +163,11 @@ def find_level(spec: WellSpec, which: Parity, tol_rel: float = 1e-13) -> float:
     holding exactly that count is bisected to float resolution straight from
     the two band ends, and the mismatch is sign-bisected inside it.  Raises
     :class:`LevelNotFound` when no band energy has the level's node count or
-    the mismatch has no sign change in the window, and
-    :class:`DegeneracyUnresolved` when the window is narrower than float
-    resolution or the found root cannot be separated from a neighbouring one
-    at ``tol_rel``.
+    the mismatch has no sign change in a window bounded by both band ends,
+    and :class:`DegeneracyUnresolved` when the doublet is below float
+    resolution (the window is narrower than one float, or the mismatch has
+    no sign change in a window with a node-count pole edge) or the found
+    root cannot be separated from a neighbouring one at ``tol_rel``.
     """
     unbound = first_unbound_well(reduce(spec))
     if unbound:
@@ -203,6 +204,13 @@ def find_level(spec: WellSpec, which: Parity, tol_rel: float = 1e-13) -> float:
 
     m_lo, m_hi = opening.mismatch, closing.mismatch
     if m_lo != 0.0 and m_hi != 0.0 and (m_lo > 0.0) == (m_hi > 0.0):
+        # Beside a node-count pole, no sign change means the level sits within
+        # float resolution of the pole: the doublet is degenerate in float64.
+        if poles:
+            raise DegeneracyUnresolved(
+                f"mismatch has no sign change inside the {target}-node window; "
+                "the two lowest levels are numerically degenerate"
+            )
         raise LevelNotFound(
             f"mismatch has no sign change inside the {target}-node window"
         )

@@ -147,6 +147,21 @@ class TestFindLevel:
         with pytest.raises(DegeneracyUnresolved):
             find_level(example_spec, Parity.EXCITED)
 
+    @pytest.mark.parametrize("parity", list(Parity))
+    @pytest.mark.parametrize("scale", [2.0, 5.0, 20.0])
+    def test_float64_degenerate_doublet_is_unresolved(self, example_spec, scale, parity):
+        # The mismatch is ~1e-15 on both floats straddling the node-count pole
+        # at 0.25, so each window keeps the sign of its other edge.
+        spec = replace(example_spec, w_0=scale * example_spec.w_0)
+        with pytest.raises(DegeneracyUnresolved, match="no sign change"):
+            find_level(spec, parity)
+
+    def test_band_end_window_without_sign_change(self, monkeypatch, example_spec):
+        # The whole band (0, 1) has one node and the root lies above it.
+        monkeypatch.setattr(oracle, "shoot", stub_shoot(0.0, 2.0, 1.5))
+        with pytest.raises(LevelNotFound, match="no sign change"):
+            find_level(example_spec, Parity.EXCITED)
+
     def test_agrees_with_pipeline_on_random_specs(self):
         rng = random.Random(61)
         for _ in range(3):

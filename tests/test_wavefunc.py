@@ -29,7 +29,7 @@ from doublewell import (
     superpose,
     write_sample_csv,
 )
-from doublewell.wavefunc import _boundary_pairs
+from doublewell.wavefunc import _CSV_BLOCK_ROWS, _boundary_pairs
 from genspecs import mixed_spec_batch, random_symmetric_spec
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -39,6 +39,27 @@ def _models(spec):
     red = reduce(spec)
     res = solve_double_well(spec)
     return res, assemble(spec, red, res.ground), assemble(spec, red, res.excited)
+
+
+def _reference_csv(table):
+    """The CSV one f-string per row, as the writer's output is specified."""
+    lines = ["x,psi,dpsi\n"]
+    for x, psi, dpsi in table:
+        lines.append(f"{x:.17g},{psi:.17g},{dpsi:.17g}\n")
+    return "".join(lines)
+
+
+def _edge_table():
+    values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+              1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+    return np.array(values).reshape(3, 3)
+
+
+def _wide_table():
+    # Two full blocks and a partial third; magnitudes 1e-300..1e300.
+    rng = np.random.default_rng(2500)
+    shape = (2500, 3)
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-300.0, 300.0, shape)
 
 
 def _potential(spec, x):
@@ -357,3 +378,30 @@ class TestSampleTable:
         write_sample_csv(table, buf)
         assert buf.getvalue().startswith("x,psi,dpsi\n")
         assert buf.getvalue().count("\n") == 4
+
+    @pytest.mark.parametrize("make_table", [_edge_table, _wide_table, lambda: np.empty((0, 3))],
+                             ids=["edge-values", "three-blocks", "empty"])
+    def test_csv_matches_per_row_reference(self, make_table):
+        table = make_table()
+        buf = io.StringIO()
+        write_sample_csv(table, buf)
+        assert buf.getvalue() == _reference_csv(table)
+
+    def test_wide_table_crosses_two_block_boundaries(self):
+        rows = len(_wide_table())
+        assert 2 * _CSV_BLOCK_ROWS < rows < 3 * _CSV_BLOCK_ROWS
+
+    def test_csv_path_and_stream_give_same_bytes(self, tmp_path):
+        table = _wide_table()
+        out = tmp_path / "wide.csv"
+        write_sample_csv(table, str(out))
+        buf = io.StringIO()
+        write_sample_csv(table, buf)
+        assert out.read_bytes() == buf.getvalue().encode("ascii")
+
+    @pytest.mark.parametrize("table", [np.zeros((4, 2)), np.zeros(3)], ids=["n-by-2", "1-d"])
+    def test_malformed_table_rejected_before_writing(self, table, tmp_path):
+        out = tmp_path / "bad.csv"
+        with pytest.raises(BadRange):
+            write_sample_csv(table, str(out))
+        assert not out.exists()
