@@ -238,6 +238,13 @@ class TestOracle:
         assert "node-count window" in err.split("hint:", 1)[1]
         assert "binds no level" not in err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1"])
+    def test_tolerance_outside_the_unit_interval_exits_2(self, capsys, spec_file, tol):
+        code, out, err = run_cli(capsys, "oracle", spec_file, "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "tol_rel" in err
+
     def test_coarse_tolerance_cannot_separate_levels(self, capsys, spec_file):
         code, _, err = run_cli(capsys, "oracle", spec_file, "--tol", "1e-3")
         assert code == 5

@@ -5,9 +5,12 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doublewell import (
     DegeneracyUnresolved,
+    DomainError,
     EnergyOutOfBand,
     LevelNotFound,
     Parity,
@@ -19,7 +22,8 @@ from doublewell import (
     shoot,
     solve_double_well,
 )
-from genspecs import random_symmetric_spec
+from doublewell.params import wavenumbers
+from genspecs import asymmetric_spec, random_symmetric_spec
 from oracles import (
     EXAMPLE_E0_EXACT,
     EXAMPLE_E1_EXACT,
@@ -58,6 +62,20 @@ def stub_shoot(window_lo, window_hi, root):
     return stub
 
 
+@st.composite
+def core_specs(draw):
+    """Specs of the oracle benchmark's core inputs: mirror-symmetric and
+    floor-detuned at barrier opacity 8-15, geometrically asymmetric at 8-12."""
+    kind = draw(st.sampled_from(["symmetric", "floor_detuned", "asymmetric"]))
+    opacity = draw(st.floats(8.0, 12.0 if kind == "asymmetric" else 15.0))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "asymmetric":
+        eta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -6.0)
+        return asymmetric_spec(rng, a_target=opacity, eta=eta)
+    detune = 10.0 ** rng.uniform(-13.0, -9.0) if kind == "floor_detuned" else 0.0
+    return random_symmetric_spec(rng, a_range=(opacity, opacity), detune_scale=detune)
+
+
 class TestShoot:
     def test_rejects_energy_outside_band(self, example_spec):
         for energy in (-0.5, 0.0, 1.0, 1.5, math.nan, math.inf):
@@ -91,7 +109,41 @@ class TestShoot:
         wide = replace(example_spec, w_0=400.0)  # kappa_0 w_0 ~ 300
         result = shoot(wide, 0.25)
         assert math.isfinite(result.mismatch)
+        assert math.isfinite(result.wall)
+        assert math.isfinite(result.residual)
         assert result.node_count in (0, 1)
+
+    def test_wall_changes_sign_where_the_node_count_steps(self, example_spec):
+        # Bisect the step from 0 to 1 nodes between the doublet's levels down
+        # to adjacent floats; the wall value u = psi(x_3) must change sign
+        # within one float of it on either side.
+        lo = find_level(example_spec, Parity.GROUND)
+        hi = find_level(example_spec, Parity.EXCITED)
+        while math.nextafter(lo, math.inf) < hi:
+            mid = 0.5 * (lo + hi)
+            if shoot(example_spec, mid).node_count >= 1:
+                hi = mid
+            else:
+                lo = mid
+        assert shoot(example_spec, lo).node_count == 0
+        assert shoot(example_spec, hi).node_count == 1
+        assert shoot(example_spec, math.nextafter(lo, -math.inf)).wall > 0.0
+        assert shoot(example_spec, math.nextafter(hi, math.inf)).wall < 0.0
+
+    def test_mismatch_is_residual_over_wall(self, example_spec):
+        # mismatch = residual / (wall * kappa_4): inside a node window the wall
+        # keeps its sign, so the residual's zero is the mismatch's.
+        for i in range(1, 400):
+            result = shoot(example_spec, i / 400.0)
+            kappa_4 = wavenumbers(example_spec, i / 400.0)[4]
+            assert result.mismatch == pytest.approx(
+                result.residual / (result.wall * kappa_4), rel=1e-9, abs=1e-12
+            )
+
+    def test_fields_default_to_nan(self):
+        result = ShootResult(energy=0.5, mismatch=1.0, node_count=0)
+        assert math.isnan(result.wall)
+        assert math.isnan(result.residual)
 
 
 class TestFindLevel:
@@ -175,6 +227,71 @@ class TestFindLevel:
                 exact = find_level(spec, parity)
                 assert abs(approx - exact) <= bound * abs(exact)
 
+    @pytest.mark.parametrize("tol_rel", [math.nan, math.inf, -math.inf, -1e-13, 1.0, 2.0])
+    def test_tolerance_outside_the_unit_interval_is_refused(
+        self, monkeypatch, example_spec, tol_rel
+    ):
+        def no_shoot(spec, energy):
+            raise AssertionError("shot before the tolerance was checked")
+
+        monkeypatch.setattr(oracle, "shoot", no_shoot)
+        for parity in Parity:
+            with pytest.raises(DomainError, match="tol_rel"):
+                find_level(example_spec, parity, tol_rel)
+        with pytest.raises(DomainError, match="tol_rel"):
+            compare(example_spec, tol_rel)
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_zero_tolerance_ends_on_adjacent_floats(self, example_spec, parity):
+        # The root is the midpoint of two adjacent floats, so it is one of
+        # them and its neighbours on either side carry opposite mismatches.
+        root = find_level(example_spec, parity, tol_rel=0.0)
+        below = shoot(example_spec, math.nextafter(root, -math.inf))
+        above = shoot(example_spec, math.nextafter(root, math.inf))
+        assert below.node_count == above.node_count == (0 if parity == Parity.GROUND else 1)
+        assert (below.mismatch > 0.0) != (above.mismatch > 0.0)
+        exact = EXAMPLE_E0_EXACT if parity == Parity.GROUND else EXAMPLE_E1_EXACT
+        assert abs(root - exact) <= 4.0 * math.ulp(exact)
+
+    def test_zero_tolerance_bisection_ends_on_adjacent_floats(self, monkeypatch, example_spec):
+        # A stub without wall values falls back to bisection; its mismatch
+        # changes sign between 0.5 and the next float up.
+        def stub(spec, energy):
+            nodes = 0 if energy < 0.25 else 1 if energy < 0.75 else 2
+            return ShootResult(energy=energy, mismatch=(energy - 0.5) - 2.0**-60, node_count=nodes)
+
+        monkeypatch.setattr(oracle, "shoot", stub)
+        root = find_level(example_spec, Parity.EXCITED, tol_rel=0.0)
+        assert root in (0.5, math.nextafter(0.5, 1.0))
+
+    def test_crawling_interpolation_falls_back_to_bisection(self, monkeypatch, example_spec):
+        # Wall values with flat eleventh-order zeros at the node-count steps:
+        # interpolation alone creeps up on them from one side (435 shoots
+        # without the fallback), so bisection must take over whenever two
+        # steps have not halved the bracket.
+        calls = []
+
+        def stub(spec, energy):
+            calls.append(energy)
+            nodes = 0 if energy < 0.3 else 1 if energy < 0.7 else 2
+            wall = (0.3 - energy) ** 11 if energy < 0.5 else (energy - 0.7) ** 11
+            return ShootResult(energy, energy - 0.5, nodes, wall)
+
+        monkeypatch.setattr(oracle, "shoot", stub)
+        assert find_level(example_spec, Parity.EXCITED) == pytest.approx(0.5, rel=1e-13)
+        assert len(calls) <= 300
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=core_specs())
+    def test_every_root_is_bracketed(self, spec):
+        tol_rel = 1e-13
+        for nodes, parity in enumerate((Parity.GROUND, Parity.EXCITED)):
+            root = find_level(spec, parity, tol_rel)
+            below = shoot(spec, root * (1.0 - 2.0 * tol_rel))
+            above = shoot(spec, root * (1.0 + 2.0 * tol_rel))
+            assert below.node_count == above.node_count == nodes
+            assert (below.mismatch > 0.0) != (above.mismatch > 0.0)
+
     def test_resolves_detuned_doublet(self):
         rng = random.Random(62)
         spec = random_symmetric_spec(rng, detune_scale=1e-10)
@@ -185,6 +302,8 @@ class TestFindLevel:
 
 class TestCompare:
     def test_shoot_budget(self, monkeypatch, example_spec):
+        # compare finds each level once, through the module's find_level and
+        # shoot, within a shoot budget per level and in total.
         calls = []
         real_shoot = oracle.shoot
 
@@ -192,9 +311,36 @@ class TestCompare:
             calls.append(energy)
             return real_shoot(spec, energy)
 
+        per_level = []
+        real_find_level = oracle.find_level
+
+        def counting_find_level(spec, which, tol_rel):
+            before = len(calls)
+            root = real_find_level(spec, which, tol_rel)
+            per_level.append((which, len(calls) - before))
+            return root
+
         monkeypatch.setattr(oracle, "shoot", counting_shoot)
+        monkeypatch.setattr(oracle, "find_level", counting_find_level)
         compare(example_spec)
-        assert len(calls) <= 300
+        assert [which for which, _ in per_level] == [Parity.GROUND, Parity.EXCITED]
+        (_, ground), (_, excited) = per_level
+        assert ground <= 60
+        assert excited <= 70
+        assert len(calls) <= 130
+
+    def test_exact_levels_are_find_level_bit_for_bit(self, example_spec):
+        rng = random.Random(71)
+        specs = [
+            example_spec,
+            random_symmetric_spec(rng, a_range=(8.0, 15.0)),
+            random_symmetric_spec(rng, a_range=(8.0, 15.0), detune_scale=1e-11),
+            asymmetric_spec(rng, a_target=10.0, eta=1e-8),
+        ]
+        for spec in specs:
+            report = compare(spec)
+            assert report.e0_exact == find_level(spec, Parity.GROUND)
+            assert report.e1_exact == find_level(spec, Parity.EXCITED)
 
     def test_example_errors_are_small(self, example_spec):
         report = compare(example_spec)
