@@ -329,11 +329,11 @@ EXIT_CODES = (
     (
         (LevelNotFound, DegeneracyUnresolved),
         5,
-        "hint: LevelNotFound means the exact solver found no band energy with the "
-        "level's node count, or no sign change of the matching mismatch inside a "
-        "node-count window bounded by the band ends; DegeneracyUnresolved means the "
-        "two levels are degenerate at float64 resolution, or --tol is coarser than "
-        "the level splitting.\n",
+        "hint: LevelNotFound means the level's phase target lies outside the "
+        "exact solver's phases at the band ends; DegeneracyUnresolved means the "
+        "neighbouring level lies within --tol times the level's energy: the two "
+        "levels are degenerate at float64 resolution, or --tol is coarser than the "
+        "level splitting.\n",
     ),
     (
         RuntimeError,

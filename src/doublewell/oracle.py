@@ -1,20 +1,20 @@
 """Exact transcendental solver for the double square well.
 
-No thick-barrier expansion: propagate the decaying left-wall solution
-(psi, psi') across the five regions with closed-form constant-potential
-propagators and root-find the energies at which it also decays under the
-right wall.  The dimensionless mismatch
+No thick-barrier expansion: follow the decaying left-wall solution across
+the five regions with closed-form constant-potential propagators, as one
+continuous Pruefer phase theta with u = R sin(theta) and u'/k = R cos(theta)
+in each region's own scale k (H. Pruefer, Math. Ann. 95, 499, 1926; exact
+for piecewise-constant potentials, as in S. Pruess and C. T. Fulton,
+ACM TOMS 19, 360, 1993).  Read in the right wall's scale kappa_4, the
+phase Theta(E) at the right wall crosses every multiple of pi (a node
+reaching the wall) and every level target (n + 3/4) pi, where
+u' + kappa_4 u = 0, upward only, so level n is the one energy at which
+Theta crosses (n + 3/4) pi and it has n interior nodes.
 
-    mu(E) = psi'(x_3) / (psi(x_3) kappa_4) + 1
-
-vanishes exactly at eigenvalues, is O(1) away from them, and has poles
-where psi(x_3) = 0; those pole energies are precisely where the interior
-node count steps up, so node counts label the root brackets.
-
-Brackets are judged by node counts and mismatch signs alone, but their
-trial energies come from Muller steps on the smooth, barrier-rescaled
-wall value u = psi(x_3) and decay residual u' + kappa_4 u, safeguarded by
-bisection: about 70 shoots per :func:`compare` where bisection took 250.
+Each level is one bracket between the band ends, judged by the phase
+alone; its trial energies come from Muller steps on the smooth decay
+residual u' + kappa_4 u, safeguarded by bisection: about 50 shoots per
+:func:`compare`.
 
 Used to quantify the error of the closed-form approximation via
 :func:`compare`.
@@ -36,14 +36,16 @@ __all__ = ["ShootResult", "OracleComparison", "shoot", "find_level", "compare"]
 @dataclass(frozen=True, slots=True)
 class ShootResult:
     """One propagation: energy, right-wall mismatch, interior node count,
-    and the barrier-rescaled wall value u = psi(x_3) and decay residual
-    u' + kappa_4 u, whose zeros are the node-count steps and the levels."""
+    the barrier-rescaled wall value u = psi(x_3) and decay residual
+    u' + kappa_4 u, and the phase Theta at the right wall, from which the
+    other four are read."""
 
     energy: float
     mismatch: float
     node_count: int
     wall: float = math.nan
     residual: float = math.nan
+    phase: float = math.nan
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,56 +71,42 @@ class OracleComparison:
     err_ratio: float
 
 
-def _trig_zeros(c: float, d: float, theta: float) -> int:
-    """Zeros of u(t) = c cos(k t) + d sin(k t) = R cos(k t - delta) for
-    k t in the open interval (0, theta)."""
-    delta = math.atan2(d, c)
-    return math.floor((theta - delta - 0.5 * math.pi) / math.pi) - math.floor(
-        (-delta - 0.5 * math.pi) / math.pi
-    )
+def _rescale(theta: float, radius: float, ratio: float) -> tuple[float, float]:
+    """Re-read u = R sin(theta), u'/k = R cos(theta) in the scale k/ratio,
+    keeping theta's quadrant."""
+    s, c = math.sin(theta), math.cos(theta)
+    return theta - math.atan2(s, c) + math.atan2(s, c * ratio), radius * math.hypot(s, c * ratio)
 
 
 def shoot(spec: WellSpec, energy: float) -> ShootResult:
     """Propagate the left-decaying solution across all five regions.
 
-    The barrier segment factors out the growing exponential e^{kappa_0 w_0}
-    (the mismatch is scale invariant and node counts ignore positive
-    rescaling), so arbitrarily opaque barriers cannot overflow.  A node
-    exactly at the right wall makes the mismatch a signed infinity (its
-    pole convention).
+    Each well adds exactly k w to the phase.  In the barrier the phase
+    moves toward its attractor pi/4 + m pi without crossing the repellers
+    -pi/4 + m pi, so less than pi/2: the end angle of the barrier-rescaled
+    pair (the growing exponential e^{kappa_0 w_0} factored out, so
+    arbitrarily opaque barriers cannot overflow) is read into that range.
+    A node exactly at the right wall makes the mismatch a signed infinity
+    (its pole convention).
     """
     kappa_m4, k_m2, kappa_0, k_2, kappa_4 = wavenumbers(spec, energy)
+    # u = 1, u' = kappa_m4 at the left wall; the left well turns the phase.
+    ratio = kappa_m4 / k_m2
+    theta = math.atan2(1.0, ratio) + k_m2 * spec.w_m2
+    theta, radius = _rescale(theta, math.hypot(1.0, ratio), k_m2 / kappa_0)
 
-    nodes = 0
-    # Region -2 (left well): u = c cos + d sin in the local coordinate.
-    u, u_prime = 1.0, kappa_m4
-    c, d = u, u_prime / k_m2
-    theta = k_m2 * spec.w_m2
-    nodes += _trig_zeros(c, d, theta)
-    u = c * math.cos(theta) + d * math.sin(theta)
-    u_prime = -c * k_m2 * math.sin(theta) + d * k_m2 * math.cos(theta)
+    # Barrier: u = grow e^{kappa_0 t} + decay e^{-kappa_0 t}, times e^{-kappa_0 w_0}.
+    u, v = math.sin(theta), math.cos(theta)
+    grow = 0.5 * (u + v)
+    decay = 0.5 * (u - v) * math.exp(-2.0 * kappa_0 * spec.w_0)
+    u, v = grow + decay, grow - decay
+    theta += math.remainder(math.atan2(u, v) - theta, 2.0 * math.pi)
+    theta, radius = _rescale(theta, radius * math.hypot(u, v), kappa_0 / k_2)
 
-    # Region 0 (barrier): u = c cosh + d sinh, rescaled by e^{-kappa_0 w_0}.
-    c, d = u, u_prime / kappa_0
-    if d != 0.0:
-        ratio = -c / d
-        if 0.0 < ratio < 1.0 and math.atanh(ratio) < kappa_0 * spec.w_0:
-            nodes += 1
-    grow = 0.5 * (c + d)
-    decay = 0.5 * (c - d)
-    shrink = math.exp(-2.0 * kappa_0 * spec.w_0)
-    u = grow + decay * shrink
-    u_prime = kappa_0 * (grow - decay * shrink)
-
-    # Region 2 (right well).
-    c, d = u, u_prime / k_2
-    theta = k_2 * spec.w_2
-    nodes += _trig_zeros(c, d, theta)
-    u = c * math.cos(theta) + d * math.sin(theta)
-    u_prime = -c * k_2 * math.sin(theta) + d * k_2 * math.cos(theta)
-
-    mismatch = u_prime / (u * kappa_4) + 1.0 if u else math.copysign(math.inf, u_prime)
-    return ShootResult(energy, mismatch, nodes, u, u_prime + kappa_4 * u)
+    theta, radius = _rescale(theta + k_2 * spec.w_2, radius, k_2 / kappa_4)
+    u, v = radius * math.sin(theta), radius * math.cos(theta)
+    mismatch = v / u + 1.0 if u else math.copysign(math.inf, v)
+    return ShootResult(energy, mismatch, math.floor(theta / math.pi), u, kappa_4 * (v + u), theta)
 
 
 def _muller(points: list[tuple[float, float]]) -> float:
@@ -135,61 +123,59 @@ def _muller(points: list[tuple[float, float]]) -> float:
 
 
 def _refine(
-    spec: WellSpec, lo: ShootResult, hi: ShootResult, upper, field: str, tol_rel: float
+    spec: WellSpec, lo: ShootResult, hi: ShootResult, target: float, tol_rel: float
 ) -> tuple[ShootResult, ShootResult]:
     """Shrink the bracket ``lo.energy < hi.energy`` until it is at most
-    ``tol_rel`` relative wide or no float lies inside; ``upper(shot)``
-    tells whether a shot belongs with ``hi``.
+    ``tol_rel`` relative wide or no float lies inside; a shot belongs with
+    ``hi`` when its phase exceeds ``target``.
 
-    Trials are Muller steps through the zero of ``field`` on the latest
+    Trials are Muller steps through the zero of the residual on the latest
     three shots, kept strictly inside the bracket and at least half the
-    target width (one ulp of the latest shot at tolerance 0) from its ends.
+    final width (one ulp of the latest shot at tolerance 0) from its ends.
     A bisection follows whenever two steps have not halved the bracket or
-    the step lands farther outside it (as it does on NaN fields).
+    the step lands farther outside it (as it does on NaN residuals).
     """
-    points = [(lo.energy, getattr(lo, field))] * 2 + [(hi.energy, getattr(hi, field))]
+    points = [(lo.energy, lo.residual)] * 2 + [(hi.energy, hi.residual)]
     widths = [math.inf, math.inf, hi.energy - lo.energy]
     while True:
         a, b = lo.energy, hi.energy
-        mid, target = 0.5 * (a + b), tol_rel * max(abs(a), abs(b))
-        if b - a <= target or not a < mid < b:
+        mid, width = 0.5 * (a + b), tol_rel * max(abs(a), abs(b))
+        if b - a <= width or not a < mid < b:
             return lo, hi
         trial = mid
         if widths[-1] <= 0.5 * widths[-3]:
-            x, step = _muller(points[-3:]), max(0.5 * target, math.ulp(points[-1][0]))
+            x, step = _muller(points[-3:]), max(0.5 * width, math.ulp(points[-1][0]))
             if a - step < x < b + step:
                 trial = min(max(x, a + step), b - step)
             if not a < trial < b:
                 trial = mid
         shot = shoot(spec, trial)
-        if upper(shot):
+        if shot.phase > target:
             hi = shot
         else:
             lo = shot
-        points.append((trial, getattr(shot, field)))
+        points.append((trial, shot.residual))
         widths.append(hi.energy - lo.energy)
 
 
 def find_level(spec: WellSpec, which: Parity, tol_rel: float = 1e-13) -> float:
     """Exact eigenvalue of the requested level to relative tolerance.
 
-    Labels the level by its interior node count (0 for the ground state, 1
-    for the excited).  The count never decreases with energy, so the edges
-    of the window holding exactly that count are found straight from the
-    two band ends, to adjacent floats, and the mismatch root inside it to
-    ``tol_rel``.  Each bracket is judged by the node count or the mismatch
-    sign alone; :func:`_refine` picks its trial energies by interpolating
-    the wall value or the decay residual, about 15 shoots per bracket where
-    bisection takes about 50.
+    Level n (0 for the ground state, 1 for the excited) is the energy at
+    which the phase Theta crosses (n + 3/4) pi.  Theta only rises there, so
+    the two band ends bracket it and one :func:`_refine` call shrinks that
+    bracket to ``tol_rel``, judging each shot by Theta > (n + 3/4) pi alone
+    and stepping by the decay residual: about 25 shoots per level.
+
+    Resolution rule: a level is refused when a neighbouring level lies
+    within ``tol_rel`` |E| of it, that is when Theta at root -+ ``tol_rel``
+    |root| reaches the neighbour's target; a doublet split by less than
+    that cannot be separated at this tolerance.
 
     Raises :class:`DomainError` before any shoot unless ``tol_rel`` is
-    finite with 0 <= tol_rel < 1; :class:`LevelNotFound` when no band
-    energy has the level's node count or the mismatch has no sign change in
-    a window bounded by both band ends; and :class:`DegeneracyUnresolved`
-    when the doublet is below float resolution (the window is narrower than
-    one float, or the mismatch has no sign change in a window with a
-    node-count pole edge) or the found root cannot be separated from a
-    neighbouring one at ``tol_rel``.
+    finite with 0 <= tol_rel < 1; :class:`LevelNotFound` when a well binds
+    no level or the target lies outside [Theta(bottom), Theta(top)) at the
+    band ends; and :class:`DegeneracyUnresolved` by the resolution rule.
     """
     if not 0.0 <= tol_rel < 1.0:
         raise DomainError(f"tol_rel must be finite with 0 <= tol_rel < 1, got {tol_rel!r}")
@@ -198,58 +184,29 @@ def find_level(spec: WellSpec, which: Parity, tol_rel: float = 1e-13) -> float:
         raise LevelNotFound(
             "{} well binds no level (alpha_inner={!r}, alpha_outer={!r})".format(*unbound)
         )
-    target = 0 if which == Parity.GROUND else 1
+    nodes = 0 if which == Parity.GROUND else 1
+    target = (nodes + 0.75) * math.pi
     lo, hi = band(spec)
     inset = 1e-9 * (hi - lo)
     bottom = shoot(spec, lo + inset)
     top = shoot(spec, hi - inset)
-    if bottom.node_count > target or top.node_count < target:
-        raise LevelNotFound(f"no band energy has {target} interior nodes")
-
-    # The window of exactly ``target`` nodes opens at the band bottom or at
-    # the first float with that many, and closes at the band top or at the
-    # last float before the count exceeds it.
-    poles: list[float] = []
-    opening = bottom
-    if bottom.node_count < target:
-        _, opening = _refine(spec, bottom, top, lambda s: s.node_count >= target, "wall", 0.0)
-        if opening.node_count != target:
-            raise DegeneracyUnresolved(
-                f"the {target}-node window is narrower than floating-point resolution; "
-                "the two lowest levels are numerically degenerate"
-            )
-        poles.append(opening.energy)
-    closing = top
-    if top.node_count > target:
-        closing, _ = _refine(spec, opening, top, lambda s: s.node_count > target, "wall", 0.0)
-        poles.append(closing.energy)
-
-    m_lo, m_hi = opening.mismatch, closing.mismatch
-    if m_lo == 0.0 or m_hi == 0.0:
-        root = opening.energy if m_lo == 0.0 else closing.energy
-    elif (m_lo > 0.0) == (m_hi > 0.0):
-        # Beside a node-count pole, no sign change means the level sits within
-        # float resolution of the pole: the doublet is degenerate in float64.
-        if poles:
-            raise DegeneracyUnresolved(
-                f"mismatch has no sign change inside the {target}-node window; "
-                "the two lowest levels are numerically degenerate"
-            )
+    if not bottom.phase <= target < top.phase:
         raise LevelNotFound(
-            f"mismatch has no sign change inside the {target}-node window"
+            f"the {nodes}-node level's phase target {target!r} lies outside the band-end "
+            f"phases [{bottom.phase!r}, {top.phase!r})"
         )
-    else:
-        below, above = _refine(
-            spec, opening, closing, lambda s: (s.mismatch > 0) == (m_hi > 0), "residual", tol_rel
-        )
-        root = 0.5 * (below.energy + above.energy)
+    below, above = _refine(spec, bottom, top, target, tol_rel)
+    root = 0.5 * (below.energy + above.energy)
     tol_abs = tol_rel * abs(root) if root != 0.0 else tol_rel * (hi - lo)
-    for pole in poles:
-        if abs(root - pole) < tol_abs:
-            raise DegeneracyUnresolved(
-                f"found root {root!r} within tolerance of the node-count pole "
-                f"{pole!r}; tighten tol_rel below the expected level splitting"
-            )
+    if (
+        shoot(spec, max(root - tol_abs, bottom.energy)).phase <= target - math.pi
+        or shoot(spec, min(root + tol_abs, top.energy)).phase > target + math.pi
+    ):
+        raise DegeneracyUnresolved(
+            f"a neighbouring level lies within tol_rel={tol_rel!r} of the {nodes}-node "
+            f"level at {root!r}; tighten tol_rel below the level splitting, if float64 "
+            "resolves it"
+        )
     return root
 
 

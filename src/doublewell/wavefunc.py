@@ -315,9 +315,10 @@ def assemble_at_energy(
     Propagates the exact decaying tail from the left wall to the barrier
     edge and reads the hyperbolic offset from the logarithmic derivative
     there, so the assembled state is the true eigenfunction whenever
-    ``energy`` is a true eigenvalue.  Raises :class:`DomainError` when the
-    logarithmic derivative admits no interior barrier extremum (i.e. the
-    energy is not an eigenvalue of the requested parity).
+    ``energy`` is a true eigenvalue.  Raises
+    :class:`MatchingResidualTooLarge` when the logarithmic derivative
+    admits no interior barrier extremum (the energy is not an eigenvalue
+    of the requested parity, or its state has no extremum in the barrier).
     """
     kappa_m4, k_m2, kappa_0, _, _ = wavenumbers(spec, energy)
     theta = k_m2 * spec.w_m2
@@ -327,12 +328,9 @@ def assemble_at_energy(
         ratio = -u_prime / (kappa_0 * u)
     else:
         ratio = -kappa_0 * u / u_prime
-    if not -1.0 < ratio < 1.0:
-        raise DomainError(
-            f"no interior barrier extremum at energy {energy!r} for parity "
-            f"{parity.value}: log-derivative ratio {ratio!r} outside (-1, 1)"
-        )
-    return _assemble_core(spec, reduced, parity, energy, math.atanh(ratio))
+    # |ratio| >= 1 has no extremum at all; NaN puts it outside the barrier.
+    r_left = math.atanh(ratio) if -1.0 < ratio < 1.0 else math.nan
+    return _assemble_core(spec, reduced, parity, energy, r_left)
 
 
 def evaluate(model: WavefunctionModel, x):

@@ -15,7 +15,8 @@ import mpmath as mp
 
 # Exact eigenvalues of the standard example layout (hbar=1, mass=2, unit
 # outer walls and barrier, wells at zero, widths 2*pi/3 / 10*pi/3 / 2*pi/3),
-# frozen from mp_example_levels(dps=40) below and re-checked by the tests.
+# frozen from a 40-digit run with the widths in closed form, and re-checked
+# by the tests against mp_levels(EXAMPLE_SPEC) below.
 EXAMPLE_E0_EXACT = 0.24999999823189692
 EXAMPLE_E1_EXACT = 0.25000000176810315
 
@@ -95,51 +96,58 @@ def example_constants() -> dict[str, float]:
         }
 
 
-def mp_example_levels(dps: int = 40) -> tuple[float, float]:
-    """Exact two lowest eigenvalues of the example layout via mpmath.
+def mp_levels(spec, dps: int = 40) -> tuple[float, float]:
+    """Exact two lowest eigenvalues of any spec via mpmath.
 
-    Propagates the decaying left solution across the five regions in
-    arbitrary precision and bisects the right-wall matching condition in
-    brackets that straddle each level (the two roots sit a half-splitting
-    of about 1.77e-9 on either side of 0.25).
+    Propagates the decaying left solution (u, u') across the five regions
+    in arbitrary precision, counting the interior nodes of u region by
+    region, and bisects three things between the band ends: the energies
+    where the node count passes the level's (the poles of the right-wall
+    mismatch u'/(u kappa_4) + 1), and inside that node window the sign of
+    the mismatch, which falls from +inf to -inf through the level.
+    ``dps`` must exceed 2 a / ln 10 + 15 at barrier opacity a = kappa_0 w_0,
+    so that the decaying barrier solution survives beside the growing one.
     """
     with mp.workdps(dps):
-        mass = mp.mpf(2)
-        w_well = 2 * mp.pi / 3
-        w_barrier = 10 * mp.pi / 3
+        mass, hbar = mp.mpf(spec.mass), mp.mpf(spec.hbar)
+        walls = [mp.mpf(v) for v in (spec.v_m4, spec.v_m2, spec.v_0, spec.v_2, spec.v_4)]
+        widths = [mp.mpf(w) for w in (spec.w_m2, spec.w_0, spec.w_2)]
 
-        def mismatch(e: mp.mpf) -> mp.mpf:
-            kap = mp.sqrt(2 * mass * (1 - e))
-            k = mp.sqrt(2 * mass * e)
-            c, d = mp.mpf(1), kap / k
-            th = k * w_well
-            u = c * mp.cos(th) + d * mp.sin(th)
-            up = k * (-c * mp.sin(th) + d * mp.cos(th))
-            c, d = u, up / kap
-            arg = kap * w_barrier
-            u = c * mp.cosh(arg) + d * mp.sinh(arg)
-            up = kap * (c * mp.sinh(arg) + d * mp.cosh(arg))
-            c, d = u, up / k
-            th = k * w_well
-            u = c * mp.cos(th) + d * mp.sin(th)
-            up = k * (-c * mp.sin(th) + d * mp.cos(th))
-            return up / (u * kap) + 1
+        def propagate(e: mp.mpf) -> tuple[int, mp.mpf]:
+            kap_m4, k_m2, kap_0, k_2, kap_4 = (
+                mp.sqrt(2 * mass * abs(e - v)) / hbar for v in walls
+            )
+            u, up, nodes = mp.mpf(1), kap_m4, 0
+            for k, w, well in ((k_m2, widths[0], True), (kap_0, widths[1], False),
+                               (k_2, widths[2], True)):
+                c, d = u, up / k
+                if well:  # u = c cos(kt) + d sin(kt) = r sin(kt + phi)
+                    phi = mp.atan2(c, d)
+                    nodes += int(mp.floor((k * w + phi) / mp.pi) - mp.floor(phi / mp.pi))
+                    u = c * mp.cos(k * w) + d * mp.sin(k * w)
+                    up = k * (-c * mp.sin(k * w) + d * mp.cos(k * w))
+                else:  # u = c cosh(kt) + d sinh(kt)
+                    nodes += int(d != 0 and 0 < -c / d < mp.tanh(k * w))
+                    u = c * mp.cosh(k * w) + d * mp.sinh(k * w)
+                    up = k * (c * mp.sinh(k * w) + d * mp.cosh(k * w))
+            return nodes, up / (u * kap_4) + 1 if u else mp.sign(up) * mp.inf
 
-        levels = []
-        for lo, hi in (
-            (mp.mpf("0.2499999972"), mp.mpf("0.2499999992")),
-            (mp.mpf("0.2500000008"), mp.mpf("0.2500000028")),
-        ):
-            f_lo = mismatch(lo)
-            for _ in range(200):
+        def bisect(lo: mp.mpf, hi: mp.mpf, upper) -> tuple[mp.mpf, mp.mpf]:
+            for _ in range(int(3.4 * dps) + 20):
                 mid = (lo + hi) / 2
-                f_mid = mismatch(mid)
-                if f_mid == 0:
-                    lo = hi = mid
-                    break
-                if (f_mid > 0) == (f_lo > 0):
-                    lo, f_lo = mid, f_mid
-                else:
-                    hi = mid
-            levels.append(float((lo + hi) / 2))
+                lo, hi = (lo, mid) if upper(mid) else (mid, hi)
+            return lo, hi
+
+        floor, top = max(walls[1], walls[3]), min(walls[0], walls[2], walls[4])
+        inset = (top - floor) / 10**12
+        bottom, top = floor + inset, top - inset
+        levels = []
+        for n in (0, 1):
+            lo, hi = bottom, top
+            if propagate(lo)[0] < n:
+                lo = bisect(lo, hi, lambda e: propagate(e)[0] >= n)[1]
+            if propagate(hi)[0] > n:
+                hi = bisect(lo, hi, lambda e: propagate(e)[0] > n)[0]
+            below, above = bisect(lo, hi, lambda e: propagate(e)[1] < 0)
+            levels.append(float((below + above) / 2))
         return levels[0], levels[1]

@@ -229,13 +229,13 @@ class TestOracle:
 
     def test_unbracketed_level_hint(self, capsys, tmp_path):
         # Five times the example barrier: the doublet is degenerate at float64
-        # resolution and the ground window holds no mismatch sign change.
+        # resolution, so the ground level has its neighbour within --tol.
         path = tmp_path / "opaque.spec"
         path.write_text(spec_text(w_0=5.0 * EXAMPLE_SPEC.w_0))
         code, _, err = run_cli(capsys, "oracle", str(path))
         assert code == 5
-        assert "no sign change" in err
-        assert "node-count window" in err.split("hint:", 1)[1]
+        assert "within tol_rel" in err
+        assert "degenerate at float64 resolution" in err.split("hint:", 1)[1]
         assert "binds no level" not in err
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1"])
@@ -341,11 +341,11 @@ HINT_3 = (
     "use the `oracle` subcommand for exact energies.\n"
 )
 HINT_5 = (
-    "hint: LevelNotFound means the exact solver found no band energy with the "
-    "level's node count, or no sign change of the matching mismatch inside a "
-    "node-count window bounded by the band ends; DegeneracyUnresolved means the "
-    "two levels are degenerate at float64 resolution, or --tol is coarser than "
-    "the level splitting.\n"
+    "hint: LevelNotFound means the level's phase target lies outside the "
+    "exact solver's phases at the band ends; DegeneracyUnresolved means the "
+    "neighbouring level lies within --tol times the level's energy: the two "
+    "levels are degenerate at float64 resolution, or --tol is coarser than the "
+    "level splitting.\n"
 )
 
 # Exit code and stderr hint of every error the package raises on purpose.

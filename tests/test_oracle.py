@@ -24,11 +24,7 @@ from doublewell import (
 )
 from doublewell.params import wavenumbers
 from genspecs import asymmetric_spec, random_symmetric_spec
-from oracles import (
-    EXAMPLE_E0_EXACT,
-    EXAMPLE_E1_EXACT,
-    mp_example_levels,
-)
+from oracles import EXAMPLE_E0_EXACT, EXAMPLE_E1_EXACT, mp_levels
 
 UNBOUND_SPEC = WellSpec(
     hbar=1.0,
@@ -51,15 +47,29 @@ NO_WINDOW_SPEC = WellSpec(
 )
 
 
-def stub_shoot(window_lo, window_hi, root):
-    """A shoot with 0 nodes below window_lo, 1 up to window_hi and 2 above,
-    and a mismatch that changes sign at root."""
+def phase_stub(phase, residual=None):
+    """A shoot whose right-wall phase is ``phase(energy)`` and whose decay
+    residual is ``residual(energy)`` (NaN without one, so every trial
+    energy is a bisection)."""
 
     def stub(spec, energy):
-        nodes = 0 if energy < window_lo else 1 if energy < window_hi else 2
-        return ShootResult(energy=energy, mismatch=energy - root, node_count=nodes)
+        theta = phase(energy)
+        return ShootResult(
+            energy=energy,
+            mismatch=1.0 / math.tan(theta) + 1.0,
+            node_count=math.floor(theta / math.pi),
+            residual=residual(energy) if residual else math.nan,
+            phase=theta,
+        )
 
     return stub
+
+
+def doublet_phase(centre, split):
+    """Phase rising from 0.5 pi to 2 pi through the two level targets,
+    0.75 pi and 1.75 pi, which it crosses at ``centre`` -+ ``split`` / 2."""
+    slope = 2.0 * math.sqrt(3.0) / split
+    return lambda energy: 1.25 * math.pi + 1.5 * math.atan((energy - centre) * slope)
 
 
 @st.composite
@@ -90,6 +100,15 @@ class TestShoot:
         assert all(b >= a for a, b in zip(counts, counts[1:]))
         assert counts[0] == 0
         assert counts[-1] >= 2
+
+    def test_node_count_holds_across_region_junctions(self, example_spec):
+        # Nine consecutive floats where a node passes a region junction: the
+        # count must not fall back (per-region counts read 1, 2, 2, 2, 1, ...).
+        energy, counts = 0.3566569504182004, []
+        for _ in range(9):
+            counts.append(shoot(example_spec, energy).node_count)
+            energy = math.nextafter(energy, math.inf)
+        assert all(b >= a for a, b in zip(counts, counts[1:]))
 
     def test_levels_have_expected_node_counts(self, example_spec):
         for parity, nodes in ((Parity.GROUND, 0), (Parity.EXCITED, 1)):
@@ -144,6 +163,7 @@ class TestShoot:
         result = ShootResult(energy=0.5, mismatch=1.0, node_count=0)
         assert math.isnan(result.wall)
         assert math.isnan(result.residual)
+        assert math.isnan(result.phase)
 
 
 class TestFindLevel:
@@ -154,8 +174,8 @@ class TestFindLevel:
         assert abs(e1 - EXAMPLE_E1_EXACT) <= 1e-13 * 0.25
         assert e1 > e0
 
-    def test_frozen_values_reproduced_by_live_high_precision_run(self):
-        e0, e1 = mp_example_levels(dps=40)
+    def test_frozen_values_reproduced_by_live_high_precision_run(self, example_spec):
+        e0, e1 = mp_levels(example_spec, dps=40)
         assert float(e0) == pytest.approx(EXAMPLE_E0_EXACT, rel=1e-14)
         assert float(e1) == pytest.approx(EXAMPLE_E1_EXACT, rel=1e-14)
 
@@ -172,47 +192,89 @@ class TestFindLevel:
         with pytest.raises(LevelNotFound):
             find_level(NO_WINDOW_SPEC, parity)
 
-    def test_window_between_grid_points_is_sharpened(self, monkeypatch, example_spec):
-        # The band is (0, 1) and the one-node window is 2e-5 wide inside it:
-        # both its edges are bisected from the band ends.
-        monkeypatch.setattr(oracle, "shoot", stub_shoot(0.50001, 0.50003, 0.50002))
+    def test_steep_phase_step_is_sharpened(self, monkeypatch, example_spec):
+        # The band is (0, 1) and the phase climbs through the one-node target
+        # within about 1e-5 of 0.50002; one bracket from the band ends finds it.
+        step = phase_stub(
+            lambda e: 1.75 * math.pi + math.atan((e - 0.50002) / 1e-5),
+            lambda e: 0.50002 - e,
+        )
+        monkeypatch.setattr(oracle, "shoot", step)
         assert find_level(example_spec, Parity.EXCITED) == pytest.approx(0.50002, rel=1e-13)
 
-    def test_window_opening_at_the_band_bottom_has_no_pole(self, monkeypatch, example_spec):
-        # The band bottom (0, shot at 1e-9) already has one node, so it is no
-        # node-count pole and a root right on it is not refused as one.
-        monkeypatch.setattr(oracle, "shoot", stub_shoot(0.0, 0.5, 1e-9))
-        assert find_level(example_spec, Parity.EXCITED) == 1e-9
+    def test_level_beside_the_band_bottom_is_checked_inside_the_band(
+        self, monkeypatch, example_spec
+    ):
+        # The level sits right on the band-bottom shot at 1e-9, so root -
+        # tol_abs lies below it: the resolution check shoots at the band end.
+        def phase(energy):
+            assert 1e-9 <= energy <= 1.0 - 1e-9
+            return 0.75 * math.pi + (energy - 1e-9) * 1e12
 
-    def test_window_closing_at_the_band_top_has_no_pole(self, monkeypatch, example_spec):
-        # The band top (1, shot at 1 - 1e-9) still has one node.
-        monkeypatch.setattr(oracle, "shoot", stub_shoot(0.5, 2.0, 1.0 - 1e-9))
-        assert find_level(example_spec, Parity.EXCITED) == 1.0 - 1e-9
+        monkeypatch.setattr(oracle, "shoot", phase_stub(phase))
+        assert find_level(example_spec, Parity.GROUND) == pytest.approx(1e-9, rel=1e-12)
+
+    def test_level_beside_the_band_top_is_checked_inside_the_band(
+        self, monkeypatch, example_spec
+    ):
+        # The level sits 2e-14 below the band-top shot at 1 - 1e-9.
+        top = 1.0 - 1e-9
+
+        def phase(energy):
+            assert 1e-9 <= energy <= top
+            return 1.75 * math.pi + (energy - (top - 2e-14)) * 1e6
+
+        monkeypatch.setattr(oracle, "shoot", phase_stub(phase))
+        assert find_level(example_spec, Parity.EXCITED) == pytest.approx(top, rel=1e-13)
 
     def test_band_top_below_the_node_count(self, monkeypatch, example_spec):
-        monkeypatch.setattr(oracle, "shoot", stub_shoot(2.0, 3.0, 0.5))
-        with pytest.raises(LevelNotFound):
+        # The phase at the band top has not reached the one-node target.
+        monkeypatch.setattr(oracle, "shoot", phase_stub(lambda e: 0.5 * math.pi + e))
+        with pytest.raises(LevelNotFound, match="phase"):
             find_level(example_spec, Parity.EXCITED)
 
-    def test_window_closed_at_float_resolution_is_degenerate(self, monkeypatch, example_spec):
-        monkeypatch.setattr(oracle, "shoot", stub_shoot(0.50002, 0.50002, 0.50002))
-        with pytest.raises(DegeneracyUnresolved):
-            find_level(example_spec, Parity.EXCITED)
+    def test_band_bottom_above_the_target(self, monkeypatch, example_spec):
+        # The phase at the band bottom is already past the ground target.
+        monkeypatch.setattr(oracle, "shoot", phase_stub(lambda e: 0.8 * math.pi + e))
+        with pytest.raises(LevelNotFound, match="phase"):
+            find_level(example_spec, Parity.GROUND)
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_neighbour_within_tolerance_is_degenerate(self, monkeypatch, example_spec, parity):
+        # The two targets are crossed 4e-14 apart around 0.5: each level has
+        # its neighbour within tol_rel |E| = 5e-14.
+        monkeypatch.setattr(oracle, "shoot", phase_stub(doublet_phase(0.5, 4e-14)))
+        with pytest.raises(DegeneracyUnresolved, match="within tol_rel"):
+            find_level(example_spec, parity)
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_neighbour_beyond_tolerance_is_resolved(self, monkeypatch, example_spec, parity):
+        # The same doublet split by 2e-12, forty times tol_rel |E|.
+        monkeypatch.setattr(oracle, "shoot", phase_stub(doublet_phase(0.5, 2e-12)))
+        sign = -1.0 if parity == Parity.GROUND else 1.0
+        assert find_level(example_spec, parity) == pytest.approx(0.5 + sign * 1e-12, abs=1e-13)
 
     @pytest.mark.parametrize("parity", list(Parity))
     @pytest.mark.parametrize("scale", [2.0, 5.0, 20.0])
     def test_float64_degenerate_doublet_is_unresolved(self, example_spec, scale, parity):
-        # The mismatch is ~1e-15 on both floats straddling the node-count pole
-        # at 0.25, so each window keeps the sign of its other edge.
+        # The splitting is below tol_rel |E| (zero in float64 from x2 on), so
+        # each level finds its neighbour within the tolerance.
         spec = replace(example_spec, w_0=scale * example_spec.w_0)
-        with pytest.raises(DegeneracyUnresolved, match="no sign change"):
+        with pytest.raises(DegeneracyUnresolved, match="within tol_rel"):
             find_level(spec, parity)
 
-    def test_band_end_window_without_sign_change(self, monkeypatch, example_spec):
-        # The whole band (0, 1) has one node and the root lies above it.
-        monkeypatch.setattr(oracle, "shoot", stub_shoot(0.0, 2.0, 1.5))
-        with pytest.raises(LevelNotFound, match="no sign change"):
-            find_level(example_spec, Parity.EXCITED)
+    def test_matches_high_precision_levels_of_opaque_specs(self):
+        # Asymmetric (eta 1e-6) and floor-detuned (1e-9) specs at opacity
+        # 20-50 whose doublets float64 resolves, though a node-count oracle
+        # refused one level of each as degenerate.
+        rng = random.Random(5)
+        specs = []
+        for _ in range(4):
+            specs.append(asymmetric_spec(rng, a_target=rng.uniform(20.0, 50.0), eta=1e-6))
+            specs.append(random_symmetric_spec(rng, a_range=(20.0, 50.0), detune_scale=1e-9))
+        for spec in (specs[0], specs[3], specs[6], specs[7]):
+            for parity, exact in zip(Parity, mp_levels(spec, dps=80)):
+                assert find_level(spec, parity) == pytest.approx(exact, rel=1e-13)
 
     def test_agrees_with_pipeline_on_random_specs(self):
         rng = random.Random(61)
@@ -254,32 +316,26 @@ class TestFindLevel:
         assert abs(root - exact) <= 4.0 * math.ulp(exact)
 
     def test_zero_tolerance_bisection_ends_on_adjacent_floats(self, monkeypatch, example_spec):
-        # A stub without wall values falls back to bisection; its mismatch
-        # changes sign between 0.5 and the next float up.
-        def stub(spec, energy):
-            nodes = 0 if energy < 0.25 else 1 if energy < 0.75 else 2
-            return ShootResult(energy=energy, mismatch=(energy - 0.5) - 2.0**-60, node_count=nodes)
-
-        monkeypatch.setattr(oracle, "shoot", stub)
+        # A phase stub without residuals falls back to bisection; its phase
+        # crosses the one-node target between 0.5 and the next float up.
+        phase = phase_stub(lambda e: 1.75 * math.pi + ((e - 0.5) - 2.0**-60) * 1e10)
+        monkeypatch.setattr(oracle, "shoot", phase)
         root = find_level(example_spec, Parity.EXCITED, tol_rel=0.0)
         assert root in (0.5, math.nextafter(0.5, 1.0))
 
     def test_crawling_interpolation_falls_back_to_bisection(self, monkeypatch, example_spec):
-        # Wall values with flat eleventh-order zeros at the node-count steps:
-        # interpolation alone creeps up on them from one side (435 shoots
-        # without the fallback), so bisection must take over whenever two
-        # steps have not halved the bracket.
+        # A residual with a flat eleventh-order zero at the level: interpolation
+        # alone creeps up on it from one side, so bisection must take over
+        # whenever two steps have not halved the bracket.
         calls = []
 
-        def stub(spec, energy):
+        def phase(energy):
             calls.append(energy)
-            nodes = 0 if energy < 0.3 else 1 if energy < 0.7 else 2
-            wall = (0.3 - energy) ** 11 if energy < 0.5 else (energy - 0.7) ** 11
-            return ShootResult(energy, energy - 0.5, nodes, wall)
+            return 1.75 * math.pi + (energy - 0.3)
 
-        monkeypatch.setattr(oracle, "shoot", stub)
-        assert find_level(example_spec, Parity.EXCITED) == pytest.approx(0.5, rel=1e-13)
-        assert len(calls) <= 300
+        monkeypatch.setattr(oracle, "shoot", phase_stub(phase, lambda e: (0.3 - e) ** 11))
+        assert find_level(example_spec, Parity.EXCITED) == pytest.approx(0.3, rel=1e-13)
+        assert len(calls) <= 150
 
     @settings(max_examples=150, deadline=None)
     @given(spec=core_specs())
@@ -325,9 +381,9 @@ class TestCompare:
         compare(example_spec)
         assert [which for which, _ in per_level] == [Parity.GROUND, Parity.EXCITED]
         (_, ground), (_, excited) = per_level
-        assert ground <= 60
-        assert excited <= 70
-        assert len(calls) <= 130
+        assert ground <= 30
+        assert excited <= 30
+        assert len(calls) <= 55
 
     def test_exact_levels_are_find_level_bit_for_bit(self, example_spec):
         rng = random.Random(71)
