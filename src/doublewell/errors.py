@@ -45,7 +45,8 @@ class DomainError(DoubleWellError, ValueError):
 
 
 class NoConvergence(DoubleWellError, RuntimeError):
-    """An iteration exhausted ``max_iter`` without meeting its tolerance.
+    """An iteration exhausted its step limit (``isolated.MAX_ITER_Y`` or
+    ``tunneling.MAX_ITER_R``) without meeting its tolerance.
 
     Carries the last iterate and the residual at that iterate so callers
     can diagnose near-misses.

@@ -35,17 +35,13 @@ __all__ = ["ShootResult", "OracleComparison", "shoot", "find_level", "compare"]
 
 @dataclass(frozen=True, slots=True)
 class ShootResult:
-    """One propagation: energy, right-wall mismatch, interior node count,
-    the barrier-rescaled wall value u = psi(x_3) and decay residual
-    u' + kappa_4 u, and the phase Theta at the right wall, from which the
-    other four are read."""
+    """One propagation: the energy, the phase Theta at the right wall (the
+    interior node count is floor(Theta / pi)) and the decay residual
+    u' + kappa_4 u there."""
 
     energy: float
-    mismatch: float
-    node_count: int
-    wall: float = math.nan
-    residual: float = math.nan
-    phase: float = math.nan
+    phase: float
+    residual: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,8 +82,7 @@ def shoot(spec: WellSpec, energy: float) -> ShootResult:
     -pi/4 + m pi, so less than pi/2: the end angle of the barrier-rescaled
     pair (the growing exponential e^{kappa_0 w_0} factored out, so
     arbitrarily opaque barriers cannot overflow) is read into that range.
-    A node exactly at the right wall makes the mismatch a signed infinity
-    (its pole convention).
+    The shot has floor(phase / pi) interior nodes.
     """
     kappa_m4, k_m2, kappa_0, k_2, kappa_4 = wavenumbers(spec, energy)
     # u = 1, u' = kappa_m4 at the left wall; the left well turns the phase.
@@ -105,8 +100,7 @@ def shoot(spec: WellSpec, energy: float) -> ShootResult:
 
     theta, radius = _rescale(theta + k_2 * spec.w_2, radius, k_2 / kappa_4)
     u, v = radius * math.sin(theta), radius * math.cos(theta)
-    mismatch = v / u + 1.0 if u else math.copysign(math.inf, v)
-    return ShootResult(energy, mismatch, math.floor(theta / math.pi), u, kappa_4 * (v + u), theta)
+    return ShootResult(energy, theta, kappa_4 * (v + u))
 
 
 def _muller(points: list[tuple[float, float]]) -> float:

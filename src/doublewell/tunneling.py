@@ -42,7 +42,7 @@ __all__ = [
     "solve_double_well",
 ]
 
-#: Default step limit of ``solve_r0``.
+#: Step limit of ``solve_r0``.
 MAX_ITER_R = 100
 
 
@@ -99,13 +99,7 @@ class DoubleWellResult:
     splitting: SplittingResult
 
 
-def solve_r0(
-    parity: Parity,
-    a_left: float,
-    a_right: float,
-    p_cap: float,
-    max_iter: int = MAX_ITER_R,
-) -> tuple[float, float]:
+def solve_r0(parity: Parity, a_left: float, a_right: float, p_cap: float) -> tuple[float, float]:
     """Solve the barrier fixed point; returns ``(r0, p_small)``.
 
     The iteration map is a strong contraction (its derivative is of order
@@ -115,7 +109,8 @@ def solve_r0(
     r0 = mean + sqrt(diff^2 + p), making the fixed-point residual evaluate
     to exactly zero in floating point.
     Raises :class:`ExcitedBelowZero` when the antisymmetric fixed point
-    collapses to r0 <= 0, and :class:`NoConvergence` on iteration failure.
+    collapses to r0 <= 0, and :class:`NoConvergence` when ``MAX_ITER_R``
+    steps do not settle.
     """
     if p_cap < 0.0:
         raise DomainError(f"coupling p_cap must be >= 0, got {p_cap!r}")
@@ -126,7 +121,7 @@ def solve_r0(
     if parity == Parity.EXCITED and r <= 0.0:
         raise ExcitedBelowZero(f"antisymmetric fixed point start {r!r} <= 0")
     r_next = r
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER_R):
         p = p_cap * math.exp(-2.0 * r)
         r_next = mean + sign * math.sqrt(diff * diff + p)
         if parity == Parity.EXCITED and r_next <= 0.0:

@@ -30,6 +30,7 @@ from doublewell import (
     solve_wells,
     solve_y,
     symmetric_base,
+    tunneling,
     two_level_check,
     delta_ledger,
 )
@@ -82,14 +83,13 @@ class TestAcceptance:
             + (f" (failing: {', '.join(failing)})" if failing else ""),
         )
 
-    def test_criterion_2_fixed_point(self, capsys):
+    def test_criterion_2_fixed_point(self, capsys, monkeypatch):
         red = reduce(EXAMPLE_SPEC)
         left, right = solve_wells(red)
         joint = coupling(left, right)
-        # max_iter=4 makes the iteration-count bound a hard failure mode
-        r0, p_small = solve_r0(
-            Parity.GROUND, left.a_coef, right.a_coef, joint.p_cap, max_iter=4
-        )
+        # A step limit of 4 makes the iteration-count bound a hard failure mode
+        monkeypatch.setattr(tunneling, "MAX_ITER_R", 4)
+        r0, p_small = solve_r0(Parity.GROUND, left.a_coef, right.a_coef, joint.p_cap)
         ok = (
             rel_err(r0, 18.1379936637) < 1e-9
             and rel_err(p_small, 4.57099905795e-16) < 1e-9

@@ -22,7 +22,6 @@ from doublewell import (
     shoot,
     solve_double_well,
 )
-from doublewell.params import wavenumbers
 from genspecs import asymmetric_spec, random_symmetric_spec
 from oracles import EXAMPLE_E0_EXACT, EXAMPLE_E1_EXACT, mp_levels
 
@@ -53,16 +52,14 @@ def phase_stub(phase, residual=None):
     energy is a bisection)."""
 
     def stub(spec, energy):
-        theta = phase(energy)
-        return ShootResult(
-            energy=energy,
-            mismatch=1.0 / math.tan(theta) + 1.0,
-            node_count=math.floor(theta / math.pi),
-            residual=residual(energy) if residual else math.nan,
-            phase=theta,
-        )
+        return ShootResult(energy, phase(energy), residual(energy) if residual else math.nan)
 
     return stub
+
+
+def nodes(shot):
+    """Interior node count of a shot, read from its phase."""
+    return math.floor(shot.phase / math.pi)
 
 
 def doublet_phase(centre, split):
@@ -93,10 +90,7 @@ class TestShoot:
                 shoot(example_spec, energy)
 
     def test_node_count_is_nondecreasing(self, example_spec):
-        counts = [
-            shoot(example_spec, 1e-6 + i * (1.0 - 2e-6) / 2000).node_count
-            for i in range(2001)
-        ]
+        counts = [nodes(shoot(example_spec, 1e-6 + i * (1.0 - 2e-6) / 2000)) for i in range(2001)]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
         assert counts[0] == 0
         assert counts[-1] >= 2
@@ -106,64 +100,48 @@ class TestShoot:
         # count must not fall back (per-region counts read 1, 2, 2, 2, 1, ...).
         energy, counts = 0.3566569504182004, []
         for _ in range(9):
-            counts.append(shoot(example_spec, energy).node_count)
+            counts.append(nodes(shoot(example_spec, energy)))
             energy = math.nextafter(energy, math.inf)
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 
     def test_levels_have_expected_node_counts(self, example_spec):
-        for parity, nodes in ((Parity.GROUND, 0), (Parity.EXCITED, 1)):
+        for parity, count in ((Parity.GROUND, 0), (Parity.EXCITED, 1)):
             energy = find_level(example_spec, parity)
             result = shoot(example_spec, energy)
-            assert result.node_count == nodes
-            assert abs(result.mismatch) < 1e-4
+            assert nodes(result) == count
+            # u'/(kappa_4 u) + 1 = cot(Theta) + 1 vanishes at the level target.
+            assert abs(1.0 / math.tan(result.phase) + 1.0) < 1e-4
 
     def test_mismatch_changes_sign_across_a_level(self, example_spec):
         e0 = find_level(example_spec, Parity.GROUND)
         below = shoot(example_spec, e0 - 1e-11)
         above = shoot(example_spec, e0 + 1e-11)
-        assert below.node_count == above.node_count == 0
-        assert (below.mismatch > 0.0) != (above.mismatch > 0.0)
+        assert nodes(below) == nodes(above) == 0
+        assert (below.residual > 0.0) != (above.residual > 0.0)
 
     def test_opaque_barrier_does_not_overflow(self, example_spec):
         wide = replace(example_spec, w_0=400.0)  # kappa_0 w_0 ~ 300
         result = shoot(wide, 0.25)
-        assert math.isfinite(result.mismatch)
-        assert math.isfinite(result.wall)
+        assert math.isfinite(result.phase)
         assert math.isfinite(result.residual)
-        assert result.node_count in (0, 1)
+        assert nodes(result) in (0, 1)
 
     def test_wall_changes_sign_where_the_node_count_steps(self, example_spec):
         # Bisect the step from 0 to 1 nodes between the doublet's levels down
-        # to adjacent floats; the wall value u = psi(x_3) must change sign
-        # within one float of it on either side.
+        # to adjacent floats; the wall value u = psi(x_3) = R sin(Theta) must
+        # change sign within one float of it on either side.
         lo = find_level(example_spec, Parity.GROUND)
         hi = find_level(example_spec, Parity.EXCITED)
         while math.nextafter(lo, math.inf) < hi:
             mid = 0.5 * (lo + hi)
-            if shoot(example_spec, mid).node_count >= 1:
+            if nodes(shoot(example_spec, mid)) >= 1:
                 hi = mid
             else:
                 lo = mid
-        assert shoot(example_spec, lo).node_count == 0
-        assert shoot(example_spec, hi).node_count == 1
-        assert shoot(example_spec, math.nextafter(lo, -math.inf)).wall > 0.0
-        assert shoot(example_spec, math.nextafter(hi, math.inf)).wall < 0.0
-
-    def test_mismatch_is_residual_over_wall(self, example_spec):
-        # mismatch = residual / (wall * kappa_4): inside a node window the wall
-        # keeps its sign, so the residual's zero is the mismatch's.
-        for i in range(1, 400):
-            result = shoot(example_spec, i / 400.0)
-            kappa_4 = wavenumbers(example_spec, i / 400.0)[4]
-            assert result.mismatch == pytest.approx(
-                result.residual / (result.wall * kappa_4), rel=1e-9, abs=1e-12
-            )
-
-    def test_fields_default_to_nan(self):
-        result = ShootResult(energy=0.5, mismatch=1.0, node_count=0)
-        assert math.isnan(result.wall)
-        assert math.isnan(result.residual)
-        assert math.isnan(result.phase)
+        assert nodes(shoot(example_spec, lo)) == 0
+        assert nodes(shoot(example_spec, hi)) == 1
+        assert math.sin(shoot(example_spec, math.nextafter(lo, -math.inf)).phase) > 0.0
+        assert math.sin(shoot(example_spec, math.nextafter(hi, math.inf)).phase) < 0.0
 
 
 class TestFindLevel:
@@ -306,12 +284,12 @@ class TestFindLevel:
     @pytest.mark.parametrize("parity", list(Parity))
     def test_zero_tolerance_ends_on_adjacent_floats(self, example_spec, parity):
         # The root is the midpoint of two adjacent floats, so it is one of
-        # them and its neighbours on either side carry opposite mismatches.
+        # them and its neighbours on either side carry opposite residuals.
         root = find_level(example_spec, parity, tol_rel=0.0)
         below = shoot(example_spec, math.nextafter(root, -math.inf))
         above = shoot(example_spec, math.nextafter(root, math.inf))
-        assert below.node_count == above.node_count == (0 if parity == Parity.GROUND else 1)
-        assert (below.mismatch > 0.0) != (above.mismatch > 0.0)
+        assert nodes(below) == nodes(above) == (0 if parity == Parity.GROUND else 1)
+        assert (below.residual > 0.0) != (above.residual > 0.0)
         exact = EXAMPLE_E0_EXACT if parity == Parity.GROUND else EXAMPLE_E1_EXACT
         assert abs(root - exact) <= 4.0 * math.ulp(exact)
 
@@ -341,12 +319,12 @@ class TestFindLevel:
     @given(spec=core_specs())
     def test_every_root_is_bracketed(self, spec):
         tol_rel = 1e-13
-        for nodes, parity in enumerate((Parity.GROUND, Parity.EXCITED)):
+        for count, parity in enumerate((Parity.GROUND, Parity.EXCITED)):
             root = find_level(spec, parity, tol_rel)
             below = shoot(spec, root * (1.0 - 2.0 * tol_rel))
             above = shoot(spec, root * (1.0 + 2.0 * tol_rel))
-            assert below.node_count == above.node_count == nodes
-            assert (below.mismatch > 0.0) != (above.mismatch > 0.0)
+            assert nodes(below) == nodes(above) == count
+            assert (below.residual > 0.0) != (above.residual > 0.0)
 
     def test_resolves_detuned_doublet(self):
         rng = random.Random(62)

@@ -16,6 +16,7 @@ from doublewell import (
     coefficient_ratio,
     solve_double_well,
     solve_r0,
+    tunneling,
 )
 from genspecs import asymmetric_spec, mixed_spec_batch, random_symmetric_spec
 from oracles import damped_fixed_point
@@ -59,13 +60,14 @@ class TestFixedPoint:
             assert r_e <= min(a_l, a_r) + 1e-12
             assert r_e < r_g
 
-    def test_converges_within_four_iterations_in_regime(self):
+    def test_converges_within_four_iterations_in_regime(self, monkeypatch):
+        monkeypatch.setattr(tunneling, "MAX_ITER_R", 4)
         rng = random.Random(19)
         for _ in range(20):
             a_l = rng.uniform(15.0, 22.0)
             a_r = a_l + rng.uniform(-1e-6, 1e-6)
-            solve_r0(Parity.GROUND, a_l, a_r, rng.uniform(0.5, 8.0), max_iter=4)
-            solve_r0(Parity.EXCITED, a_l, a_r, rng.uniform(0.5, 8.0), max_iter=4)
+            solve_r0(Parity.GROUND, a_l, a_r, rng.uniform(0.5, 8.0))
+            solve_r0(Parity.EXCITED, a_l, a_r, rng.uniform(0.5, 8.0))
 
     def test_negative_coupling_rejected(self):
         with pytest.raises(DomainError):
