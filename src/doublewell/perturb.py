@@ -159,7 +159,7 @@ def symmetric_base(spec: WellSpec) -> SymmetricBase:
 
 
 def _require_small(delta_v: float, min_depth: float) -> None:
-    if abs(delta_v) >= 0.01 * min_depth:
+    if not abs(delta_v) < 0.01 * min_depth:  # NaN fails too
         raise PerturbationTooLarge(
             f"|delta_v| = {abs(delta_v)!r} is not small against the potential "
             f"steps (smallest step {min_depth!r}); first-order response requires "

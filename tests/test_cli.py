@@ -214,6 +214,13 @@ class TestPerturb:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("flag", ["--v", "--delta-v"])
+    def test_nan_shift(self, capsys, spec_file, flag):
+        code, out, err = run_cli(capsys, "perturb", spec_file, flag, "nan")
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
 
 class TestOracle:
     def test_comparison_block(self, capsys, spec_file):

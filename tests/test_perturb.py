@@ -147,6 +147,12 @@ class TestPerturbedLevels:
         with pytest.raises(PerturbationTooLarge):
             perturbed_levels(example_base, 0.02 * example_base.min_depth)
 
+    def test_nan_shift_rejected(self, example_base):
+        with pytest.raises(PerturbationTooLarge, match="nan"):
+            perturbed_levels(example_base, math.nan)
+        with pytest.raises(PerturbationTooLarge, match="nan"):
+            two_level_check(example_base, math.nan)
+
 
 class TestInvertRatio:
     def test_balanced_ratio_needs_no_shift(self, example_base):
@@ -260,3 +266,7 @@ class TestDeltaLedger:
         red = reduce(EXAMPLE_SPEC)
         with pytest.raises(PerturbationTooLarge):
             delta_ledger(example_base, red, 0.02 * example_base.min_depth)
+
+    def test_nan_shift_rejected(self, example_base):
+        with pytest.raises(PerturbationTooLarge, match="nan"):
+            delta_ledger(example_base, reduce(EXAMPLE_SPEC), math.nan)
