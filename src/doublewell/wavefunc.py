@@ -307,29 +307,40 @@ def assemble(
     )
 
 
+def _tail_ratio(parity: Parity, kappa_out: float, k: float, width: float, kappa_0: float) -> float:
+    """tanh of kappa_0 times the distance from a barrier edge to the
+    barrier's extremum (ground) or node (excited), read from the decaying
+    outer tail carried through the well on that side."""
+    theta = k * width
+    u = math.cos(theta) + (kappa_out / k) * math.sin(theta)
+    u_prime = -k * math.sin(theta) + kappa_out * math.cos(theta)
+    return -u_prime / (kappa_0 * u) if parity == Parity.GROUND else -kappa_0 * u / u_prime
+
+
 def assemble_at_energy(
     spec: WellSpec, reduced: ReducedParams, parity: Parity, energy: float
 ) -> WavefunctionModel:
     """Wavefunction at an externally supplied eigenvalue.
 
-    Propagates the exact decaying tail from the left wall to the barrier
-    edge and reads the hyperbolic offset from the logarithmic derivative
-    there, so the assembled state is the true eigenfunction whenever
-    ``energy`` is a true eigenvalue.  Raises
-    :class:`MatchingResidualTooLarge` when the logarithmic derivative
-    admits no interior barrier extremum (the energy is not an eigenvalue
-    of the requested parity, or its state has no extremum in the barrier).
+    Propagates the exact decaying tails from both outer walls to the
+    barrier edges and reads the hyperbolic offset from the logarithmic
+    derivative at the edge nearer the extremum (the smaller tail ratio:
+    atanh loses all accuracy as the ratio nears 1), so the assembled state
+    is the true eigenfunction whenever ``energy`` is a true eigenvalue.
+    Raises :class:`MatchingResidualTooLarge` when neither logarithmic
+    derivative admits an interior barrier extremum (the energy is not an
+    eigenvalue of the requested parity, or its state has no extremum in
+    the barrier).
     """
-    kappa_m4, k_m2, kappa_0, _, _ = wavenumbers(spec, energy)
-    theta = k_m2 * spec.w_m2
-    u = math.cos(theta) + (kappa_m4 / k_m2) * math.sin(theta)
-    u_prime = -k_m2 * math.sin(theta) + kappa_m4 * math.cos(theta)
-    if parity == Parity.GROUND:
-        ratio = -u_prime / (kappa_0 * u)
-    else:
-        ratio = -kappa_0 * u / u_prime
+    kappa_m4, k_m2, kappa_0, k_2, kappa_4 = wavenumbers(spec, energy)
+    rho_left = _tail_ratio(parity, kappa_m4, k_m2, spec.w_m2, kappa_0)
+    rho_right = _tail_ratio(parity, kappa_4, k_2, spec.w_2, kappa_0)
     # |ratio| >= 1 has no extremum at all; NaN puts it outside the barrier.
-    r_left = math.atanh(ratio) if -1.0 < ratio < 1.0 else math.nan
+    if abs(rho_right) < abs(rho_left) or not -1.0 < rho_left < 1.0:
+        r_right = math.atanh(rho_right) if -1.0 < rho_right < 1.0 else math.nan
+        r_left = kappa_0 * spec.w_0 - r_right
+    else:
+        r_left = math.atanh(rho_left)
     return _assemble_core(spec, reduced, parity, energy, r_left)
 
 

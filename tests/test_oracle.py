@@ -45,6 +45,16 @@ NO_WINDOW_SPEC = WellSpec(
     w_m2=6.0, w_0=10.0, w_2=2.0,
 )
 
+# Asymmetric at barrier opacity 53.4: the ground state's barrier extremum
+# lies near the right edge, so the left tail's ratio tanh(kappa_0 d) reads
+# 1 + 2e-13 in float64 while the right tail's reads 1 - 1.4e-6.
+RIGHT_EXTREMUM_SPEC = WellSpec(
+    hbar=1.8349862747981738, mass=0.8583845659041568, v_m4=6.37671010192158,
+    v_m2=0.6460288887276975, v_0=2.334003199521126, v_2=0.8135286606517531,
+    v_4=6.7904881820215195, w_m2=4.514751435400115, w_0=68.45479914807018,
+    w_2=5.918056606892832, x_m3=-1.5452520765617859,
+)
+
 
 def phase_stub(phase, residual=None):
     """A shoot whose right-wall phase is ``phase(energy)`` and whose decay
@@ -375,6 +385,11 @@ class TestCompare:
             report = compare(spec)
             assert report.e0_exact == find_level(spec, Parity.GROUND)
             assert report.e1_exact == find_level(spec, Parity.EXCITED)
+
+    def test_extremum_near_the_right_edge_is_read_from_the_right_tail(self):
+        report = compare(RIGHT_EXTREMUM_SPEC)
+        assert report.ratio_exact == pytest.approx(1.5925907567771588e-34, rel=1e-6)
+        assert report.err_ratio < 1e-5
 
     def test_example_errors_are_small(self, example_spec):
         report = compare(example_spec)
