@@ -22,6 +22,7 @@ from doublewell import (
     shoot,
     solve_double_well,
 )
+from doublewell.params import band
 from genspecs import asymmetric_spec, random_symmetric_spec
 from oracles import EXAMPLE_E0_EXACT, EXAMPLE_E1_EXACT, mp_levels
 
@@ -80,11 +81,14 @@ def doublet_phase(centre, split):
 
 
 @st.composite
-def core_specs(draw):
+def core_specs(draw, opacities=None):
     """Specs of the oracle benchmark's core inputs: mirror-symmetric and
-    floor-detuned at barrier opacity 8-15, geometrically asymmetric at 8-12."""
+    floor-detuned at barrier opacity 8-15, geometrically asymmetric at 8-12
+    (all three kinds in ``opacities`` when it is given)."""
     kind = draw(st.sampled_from(["symmetric", "floor_detuned", "asymmetric"]))
-    opacity = draw(st.floats(8.0, 12.0 if kind == "asymmetric" else 15.0))
+    if opacities is None:
+        opacities = (8.0, 12.0 if kind == "asymmetric" else 15.0)
+    opacity = draw(st.floats(*opacities))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     if kind == "asymmetric":
         eta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -6.0)
@@ -94,6 +98,23 @@ def core_specs(draw):
 
 
 class TestShoot:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        spec=st.one_of(core_specs(), core_specs(opacities=(20.0, 50.0))),
+        points=st.integers(16, 512),
+        offset=st.floats(0.0, 1.0),
+    )
+    def test_phase_is_nondecreasing_across_the_band(self, spec, points, offset):
+        # find_level's one bracket per level rests on this.
+        lo, hi = band(spec)
+        inset = 1e-9 * (hi - lo)
+        energies = [
+            min(max(lo + (hi - lo) * (i + offset) / points, lo + inset), hi - inset)
+            for i in range(points)
+        ]
+        phases = [shoot(spec, energy).phase for energy in energies]
+        assert all(b >= a for a, b in zip(phases, phases[1:]))
+
     def test_rejects_energy_outside_band(self, example_spec):
         for energy in (-0.5, 0.0, 1.0, 1.5, math.nan, math.inf):
             with pytest.raises(EnergyOutOfBand):
