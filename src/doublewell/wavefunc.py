@@ -323,14 +323,12 @@ def assemble_at_energy(
     """Wavefunction at an externally supplied eigenvalue.
 
     Propagates the exact decaying tails from both outer walls to the
-    barrier edges and reads the hyperbolic offset from the logarithmic
-    derivative at the edge nearer the extremum (the smaller tail ratio:
-    atanh loses all accuracy as the ratio nears 1), so the assembled state
-    is the true eigenfunction whenever ``energy`` is a true eigenvalue.
-    Raises :class:`MatchingResidualTooLarge` when neither logarithmic
-    derivative admits an interior barrier extremum (the energy is not an
-    eigenvalue of the requested parity, or its state has no extremum in
-    the barrier).
+    barrier edges and reads the hyperbolic offset at the edge with the
+    smaller tail ratio (atanh loses all accuracy as it nears 1), so the
+    state is the true eigenfunction whenever ``energy`` is a true
+    eigenvalue.  Raises :class:`MatchingResidualTooLarge` when that ratio
+    admits no interior barrier extremum (``energy`` is not an eigenvalue
+    of ``parity``, or its state has no extremum in the barrier).
     """
     kappa_m4, k_m2, kappa_0, k_2, kappa_4 = wavenumbers(spec, energy)
     rho_left = _tail_ratio(parity, kappa_m4, k_m2, spec.w_m2, kappa_0)
