@@ -177,7 +177,7 @@ def _assemble_core(
 # for exp (always a semi-infinite tail decaying away from its origin), else
 # (s, h) with the integral of [amp f(rate (x - origin))]^2 over [a, b] equal to
 # amp^2 [s (b - a)/2 + (h(2 rate (b - origin)) - h(2 rate (a - origin))) / (4 rate)].
-# The names resolve in numpy for arrays and in math for single floats.
+# The names resolve in math for _piece and in numpy for _fill.
 _KINDS = {
     "exp": ("exp", "exp", 1.0, None),
     "cos": ("cos", "sin", -1.0, (1.0, math.sin)),
@@ -222,38 +222,60 @@ def _pieces(
     ), False
 
 
-def _piece(piece: Piece, xs, slope: bool, lib):
-    """One piece's psi, or dpsi/dx when ``slope``, at xs; ``lib`` is numpy
-    for arrays or math for a float.  An array xs is overwritten: working in
-    place keeps one temporary array per region besides the result."""
+def _piece(piece: Piece, x: float, slope: bool) -> float:
+    """One piece's psi, or dpsi/dx when ``slope``, at one float x, in math."""
     kind, amp, rate, origin = piece
     f, g, sign, _ = _KINDS[kind]
-    xs -= origin
-    xs *= rate
-    return (sign * amp) * rate * getattr(lib, g)(xs) if slope else amp * getattr(lib, f)(xs)
+    t = (x - origin) * rate
+    return (sign * amp) * rate * getattr(math, g)(t) if slope else amp * getattr(math, f)(t)
+
+
+def _fill(piece: Piece, xs, out, slope: bool) -> None:
+    """_piece at an array xs in numpy, written into ``out`` (may be xs)."""
+    import numpy as np
+
+    kind, amp, rate, origin = piece
+    f, g, sign, _ = _KINDS[kind]
+    np.subtract(xs, origin, out=out)
+    out *= rate
+    getattr(np, g if slope else f)(out, out=out)
+    out *= (sign * amp) * rate if slope else amp
 
 
 def _field(model: WavefunctionModel | SingleWellModel, x, slope: bool):
     """psi, or dpsi/dx when ``slope``, of a piecewise state at a scalar or an
-    array of positions.  NaN lies in no region and gives NaN."""
+    array of positions of any shape, which is only read.  NaN lies in no
+    region and gives NaN.  A non-decreasing grid is cut into one slice per
+    region by one searchsorted; any other (NaN fails the order check) is
+    split by region masks, each region computed on its gathered copy."""
     import numpy as np
 
     xs = np.asarray(x, dtype=float)
-    points = np.atleast_1d(xs)
+    points = xs.ravel()
     edges, pieces, left_owned = _pieces(model)
-    above = np.greater if left_owned else np.greater_equal
-    below = np.less_equal if left_owned else np.less
-    out = np.full_like(points, np.nan)
-    for i, piece in enumerate(pieces):
-        # The outer regions reach out to -inf and +inf.
-        if i == 0:
-            mask = below(points, edges[0])
-        elif i == len(edges):
-            mask = above(points, edges[-1])
-        else:
-            mask = above(points, edges[i - 1]) & below(points, edges[i])
-        out[mask] = _piece(piece, points[mask], slope, np)
-    return float(out[0]) if xs.ndim == 0 else out
+    if (points[1:] >= points[:-1]).all():
+        # A lone NaN passes the check, lands in the last region and stays NaN.
+        out = np.empty_like(points)
+        cuts = np.searchsorted(points, edges, side="right" if left_owned else "left")
+        for piece, lo, hi in zip(pieces, (0, *cuts), (*cuts, len(points))):
+            if lo < hi:
+                _fill(piece, points[lo:hi], out[lo:hi], slope)
+    else:
+        above = np.greater if left_owned else np.greater_equal
+        below = np.less_equal if left_owned else np.less
+        out = np.full_like(points, np.nan)
+        for i, piece in enumerate(pieces):
+            # The outer regions reach out to -inf and +inf.
+            if i == 0:
+                mask = below(points, edges[0])
+            elif i == len(edges):
+                mask = above(points, edges[-1])
+            else:
+                mask = above(points, edges[i - 1]) & below(points, edges[i])
+            region = points[mask]
+            _fill(piece, region, region, slope)
+            out[mask] = region
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def _mass(piece: Piece, a: float, b: float) -> float:
@@ -275,7 +297,7 @@ def _boundary_pairs(
     """(boundary x, (value, slope) from the left region, same from the right)."""
     edges, pieces, _ = _pieces(model)
     return [
-        (x, *[(_piece(p, x, False, math), _piece(p, x, True, math)) for p in (left, right)])
+        (x, *[(_piece(p, x, False), _piece(p, x, True)) for p in (left, right)])
         for x, left, right in zip(edges, pieces, pieces[1:])
     ]
 
@@ -343,11 +365,12 @@ def assemble_at_energy(
 
 
 def evaluate(model: WavefunctionModel, x):
-    """psi(x); accepts a scalar or an array.
+    """psi(x); accepts a scalar or an array of any shape.
 
-    Region dispatch is half-open with each boundary belonging to the
-    region on its right; continuity makes the choice observationally
-    irrelevant.
+    A non-decreasing grid is evaluated slice by slice, in place in the
+    result; any other grid goes through one mask per region.  Region
+    dispatch is half-open with each boundary belonging to the region on
+    its right; continuity makes the choice observationally irrelevant.
     """
     return _field(model, x, False)
 
@@ -482,11 +505,15 @@ def sample(
     """Uniform endpoint-inclusive table of (x, psi, dpsi), shape (n, 3)."""
     if not (math.isfinite(x_min) and math.isfinite(x_max)) or not x_min < x_max:
         raise BadRange(f"need finite x_min < x_max, got {x_min!r}, {x_max!r}")
-    if int(n_points) != n_points or n_points < 2:
+    try:
+        count = int(n_points)
+    except (OverflowError, ValueError):  # inf, nan, a non-numeric string
+        count = 0
+    if count != n_points or count < 2:
         raise BadRange(f"need an integer n_points >= 2, got {n_points!r}")
     import numpy as np
 
-    xs = np.linspace(x_min, x_max, int(n_points))
+    xs = np.linspace(x_min, x_max, count)
     return np.column_stack((xs, _field(model, xs, False), _field(model, xs, True)))
 
 

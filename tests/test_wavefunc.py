@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doublewell import (
     BadRange,
@@ -30,7 +32,7 @@ from doublewell import (
     write_sample_csv,
 )
 from doublewell.wavefunc import _CSV_BLOCK_ROWS, _boundary_pairs
-from genspecs import mixed_spec_batch, random_symmetric_spec
+from genspecs import EXAMPLE_SPEC, mixed_spec_batch, random_symmetric_spec
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -60,6 +62,22 @@ def _wide_table():
     rng = np.random.default_rng(2500)
     shape = (2500, 3)
     return rng.standard_normal(shape) * 10.0 ** rng.uniform(-300.0, 300.0, shape)
+
+
+def _states():
+    """Both doublet levels and both single-well states of the worked example,
+    each with its region edges and the fields to test it through."""
+    _, ground, excited = _models(EXAMPLE_SPEC)
+    doublet_edges = (ground.x_m3, ground.x_m1, ground.x_1, ground.x_3)
+    states = [(model, doublet_edges, (evaluate, derivative)) for model in (ground, excited)]
+    for side in ("left", "right"):
+        state = single_well_model(EXAMPLE_SPEC, reduce(EXAMPLE_SPEC), side)
+        states.append((state, tuple(sorted((state.x_outer, state.x_inner))), (evaluate_single,)))
+    return states
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
 
 
 def _potential(spec, x):
@@ -174,6 +192,66 @@ class TestNaNPositions:
             state = single_well_model(example_spec, reduce(example_spec), side)
             assert math.isnan(evaluate_single(state, math.nan))
             assert np.isnan(evaluate_single(state, np.array([math.nan, 1.0])))[0]
+
+    def test_nan_anywhere_in_a_sorted_grid(self):
+        for state, edges, fields in _states():
+            xs = np.linspace(edges[0] - 2.0, edges[-1] + 2.0, 41)
+            for field in fields:
+                clean = field(state, xs)
+                for i in (0, 7, 20, 40):
+                    holed = xs.copy()
+                    holed[i] = math.nan
+                    values = field(state, holed)
+                    assert math.isnan(values[i])
+                    keep = np.arange(len(xs)) != i
+                    assert _bits(values[keep]) == _bits(clean[keep])
+
+
+@st.composite
+def _grids(draw, edges):
+    """A sorted grid of edges, their float neighbours, duplicates, +-inf and
+    uniform points around the edges."""
+    specials = [-math.inf, math.inf, *edges]
+    specials += [math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)]
+    span = edges[-1] - edges[0]
+    uniform = st.floats(min_value=edges[0] - span, max_value=edges[-1] + span)
+    points = draw(st.lists(st.sampled_from(specials) | uniform, min_size=1, max_size=40))
+    return np.sort(np.array(points + draw(st.lists(st.sampled_from(points), max_size=5))))
+
+
+class TestGridPaths:
+    """A non-decreasing grid is evaluated slice by slice; any other grid by
+    region masks.  Both give the same bits for every point."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), index=st.integers(min_value=0, max_value=3))
+    def test_permuted_grid_gives_the_same_bits(self, data, index):
+        state, edges, fields = _states()[index]
+        xs = data.draw(_grids(edges))
+        perm = np.array(data.draw(st.permutations(range(len(xs)))))
+        for field in fields:
+            assert _bits(field(state, xs[perm])) == _bits(field(state, xs)[perm])
+
+    def test_caller_array_is_left_unchanged_and_may_be_read_only(self):
+        for state, edges, fields in _states():
+            grid = np.linspace(edges[0] - 2.0, edges[-1] + 2.0, 101)
+            for xs in (grid, grid[::-1].copy()):
+                before = xs.copy()
+                xs.flags.writeable = False
+                for field in fields:
+                    field(state, xs)
+                    assert _bits(xs) == _bits(before)
+
+    def test_two_dimensional_input_keeps_its_shape(self):
+        for state, edges, fields in _states():
+            xs = np.linspace(edges[0] - 2.0, edges[-1] + 2.0, 60)
+            for field in fields:
+                flat = field(state, xs)
+                # Row-major keeps the grid sorted; the transpose does not.
+                for shaped in (lambda a: a.reshape(6, 10), lambda a: a.reshape(10, 6).T):
+                    values = field(state, shaped(xs))
+                    assert values.shape == shaped(xs).shape
+                    assert _bits(values) == _bits(shaped(flat))
 
 
 class TestNormalization:
@@ -349,6 +427,9 @@ class TestSampleTable:
         (0.0, math.inf, 10),
         (0.0, 1.0, 1),
         (0.0, 1.0, 2.5),
+        (0.0, 1.0, math.inf),
+        (0.0, 1.0, -math.inf),
+        (0.0, 1.0, math.nan),
     ])
     def test_bad_ranges_rejected(self, example_spec, bad_range):
         _, ground, _ = _models(example_spec)
