@@ -244,10 +244,10 @@ def _fill(piece: Piece, xs, out, slope: bool) -> None:
 
 def _field(model: WavefunctionModel | SingleWellModel, x, slope: bool):
     """psi, or dpsi/dx when ``slope``, of a piecewise state at a scalar or an
-    array of positions of any shape, which is only read.  NaN lies in no
-    region and gives NaN.  A non-decreasing grid is cut into one slice per
-    region by one searchsorted; any other (NaN fails the order check) is
-    split by region masks, each region computed on its gathered copy."""
+    array of positions of any shape, which is only read; NaN gives NaN.  A
+    non-decreasing grid is cut into one slice per region by one
+    searchsorted; any other (NaN fails the order check and lies in no
+    mask) is split by region masks, each computed on its gathered copy."""
     import numpy as np
 
     xs = np.asarray(x, dtype=float)
