@@ -47,8 +47,7 @@ _EXPORTS = {
     "wavefunc": (
         "WavefunctionModel", "SingleWellModel", "assemble", "assemble_at_energy",
         "evaluate", "derivative", "probabilities", "closed_form_probabilities",
-        "single_well_model", "evaluate_single", "superpose", "sample",
-        "write_sample_csv",
+        "single_well_model", "superpose", "sample", "write_sample_csv",
     ),
     "oracle": (
         "ShootResult", "OracleComparison", "shoot", "find_level", "compare",

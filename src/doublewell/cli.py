@@ -11,10 +11,12 @@ Subcommands:
 
 Reports are deterministic: fixed key order, floats serialized with
 ``repr`` (lossless round-trip), and no timestamps, so identical inputs
-produce byte-identical output.  Exit codes: 0 success; 2 bad flags or an
-invalid/unreadable spec; 3 the closed-form approximation does not apply;
-4 perturbation of a non-symmetric spec; 5 oracle root finding failed;
-6 unwritable output path; 7 worked-example mismatch.
+produce byte-identical output.  A report never carries a non-finite float:
+one that would exits 3 with nothing on stdout, so stdout is strict JSON.
+Exit codes: 0 success; 2 bad flags or an invalid/unreadable spec; 3 the
+closed-form approximation does not apply; 4 perturbation of a non-symmetric
+spec; 5 oracle root finding failed; 6 unwritable output path; 7
+worked-example mismatch.
 """
 
 from __future__ import annotations
@@ -26,10 +28,12 @@ import sys
 from collections.abc import Sequence
 from dataclasses import fields
 
-from .errors import DegeneracyUnresolved, DoubleWellError, LevelNotFound, NotSymmetric
+from .errors import (
+    AssumptionViolated, DegeneracyUnresolved, DoubleWellError, LevelNotFound, NotSymmetric,
+)
 from .isolated import newton_initial, newton_step, series_y
 from .oracle import compare
-from .params import WellSpec, load_spec, reduce
+from .params import WellSpec, load_spec
 from .perturb import invert_ratio, perturbed_levels, symmetric_base
 from .tunneling import DoubleWellResult, Parity, coefficient_ratio, solve_double_well
 from .wavefunc import assemble, sample, write_sample_csv
@@ -87,7 +91,14 @@ def build_report(result: DoubleWellResult) -> dict:
 
 
 def _emit(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise AssumptionViolated(
+            f"the report holds a non-finite float ({exc}); the closed form "
+            "leaves the float64 range for this potential"
+        ) from None
+    sys.stdout.write(text + "\n")
 
 
 # (label, field) rows of the --verbose table for each well and each level.
@@ -130,6 +141,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_perturb(args: argparse.Namespace) -> int:
     spec = load_spec(args.spec)
     base = symmetric_base(spec)
+    # Every closed-form refusal (exit 3) comes before the shift is judged (exit 2).
+    result = solve_double_well(spec)
     if args.delta_v is not None:
         delta_v = args.delta_v
     elif args.v is not None:
@@ -137,7 +150,6 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     else:
         delta_v = invert_ratio(base, args.ratio)
     levels = perturbed_levels(base, delta_v)
-    result = solve_double_well(spec)
     report = build_report(result)
     report["perturbation"] = _section(
         base, ("a_sym", "e_bar", "delta_e", "f_coef", "g_coef")
@@ -185,8 +197,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def _example_rows() -> list[tuple[str, float, float, float, str]]:
     """(name, got, expected, tolerance, mode) for every reference value."""
     spec = EXAMPLE_SPEC
-    reduced = reduce(spec)
     result = solve_double_well(spec)
+    reduced = result.reduced
     base = symmetric_base(spec)
     well = result.left
     ground, excited = result.ground, result.excited

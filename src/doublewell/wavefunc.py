@@ -44,7 +44,6 @@ __all__ = [
     "probabilities",
     "closed_form_probabilities",
     "single_well_model",
-    "evaluate_single",
     "superpose",
     "sample",
     "write_sample_csv",
@@ -244,37 +243,32 @@ def _fill(piece: Piece, xs, out, slope: bool) -> None:
 
 def _field(model: WavefunctionModel | SingleWellModel, x, slope: bool):
     """psi, or dpsi/dx when ``slope``, of a piecewise state at a scalar or an
-    array of positions of any shape, which is only read; NaN gives NaN.  A
-    non-decreasing grid is cut into one slice per region by one
-    searchsorted; any other (NaN fails the order check and lies in no
-    mask) is split by region masks, each computed on its gathered copy."""
+    array of positions of any shape, which is only read; NaN gives NaN.
+    Each region is one slice, written in place: a non-decreasing grid is
+    cut by one searchsorted; any other (NaN fails the order check) is
+    grouped by region with a stable radix sort of the region indices and
+    scattered back, NaN sorting past every edge into the last region."""
     import numpy as np
 
     xs = np.asarray(x, dtype=float)
     points = xs.ravel()
     edges, pieces, left_owned = _pieces(model)
+    order = None
     if (points[1:] >= points[:-1]).all():
         # A lone NaN passes the check, lands in the last region and stays NaN.
-        out = np.empty_like(points)
         cuts = np.searchsorted(points, edges, side="right" if left_owned else "left")
-        for piece, lo, hi in zip(pieces, (0, *cuts), (*cuts, len(points))):
-            if lo < hi:
-                _fill(piece, points[lo:hi], out[lo:hi], slope)
+        out = np.empty_like(points)
     else:
-        above = np.greater if left_owned else np.greater_equal
-        below = np.less_equal if left_owned else np.less
-        out = np.full_like(points, np.nan)
-        for i, piece in enumerate(pieces):
-            # The outer regions reach out to -inf and +inf.
-            if i == 0:
-                mask = below(points, edges[0])
-            elif i == len(edges):
-                mask = above(points, edges[-1])
-            else:
-                mask = above(points, edges[i - 1]) & below(points, edges[i])
-            region = points[mask]
-            _fill(piece, region, region, slope)
-            out[mask] = region
+        regions = np.searchsorted(edges, points, side="left" if left_owned else "right")
+        order = np.argsort(regions.astype(np.uint8), kind="stable")
+        cuts = np.cumsum(np.bincount(regions, minlength=len(pieces)))[:-1]
+        points = out = points[order]
+    for piece, lo, hi in zip(pieces, (0, *cuts), (*cuts, len(points))):
+        if lo < hi:
+            _fill(piece, points[lo:hi], out[lo:hi], slope)
+    if order is not None:
+        out = np.empty_like(points)
+        out[order] = points
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
@@ -364,18 +358,20 @@ def assemble_at_energy(
     return _assemble_core(spec, reduced, parity, energy, r_left)
 
 
-def evaluate(model: WavefunctionModel, x):
-    """psi(x); accepts a scalar or an array of any shape.
+def evaluate(model: WavefunctionModel | SingleWellModel, x):
+    """psi(x) of a doublet level or a single-well state; accepts a scalar or
+    an array of any shape.
 
-    A non-decreasing grid is evaluated slice by slice, in place in the
-    result; any other grid goes through one mask per region.  Region
-    dispatch is half-open with each boundary belonging to the region on
-    its right; continuity makes the choice observationally irrelevant.
+    Each region is evaluated as one slice, in place in the result: a
+    non-decreasing grid is cut into slices, any other grid is first grouped
+    by region.  Region dispatch is half-open with each boundary belonging
+    to the region on its right (on its left for a right-well single state);
+    continuity makes the choice observationally irrelevant.
     """
     return _field(model, x, False)
 
 
-def derivative(model: WavefunctionModel, x):
+def derivative(model: WavefunctionModel | SingleWellModel, x):
     """d psi / dx at x; accepts a scalar or an array."""
     return _field(model, x, True)
 
@@ -451,11 +447,6 @@ def single_well_model(spec: WellSpec, reduced: ReducedParams, side: str) -> Sing
     )
 
 
-def evaluate_single(state: SingleWellModel, x) -> np.ndarray:
-    """psi(x) of a single-well state; accepts a scalar or an array."""
-    return _field(state, x, False)
-
-
 def superpose(
     left_state: SingleWellModel,
     right_state: SingleWellModel,
@@ -492,9 +483,7 @@ def superpose(
                 f"grid step {max_step!r} resolves the shortest wavelength "
                 f"{shortest_wavelength!r} with fewer than 16 samples per period"
             )
-        return weight_left * evaluate_single(left_state, xs) + weight_right * evaluate_single(
-            right_state, xs
-        )
+        return weight_left * evaluate(left_state, xs) + weight_right * evaluate(right_state, xs)
 
     return sampled
 

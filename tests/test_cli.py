@@ -138,6 +138,17 @@ class TestSolve:
         assert code == 3
         assert "oracle" in err
 
+    def test_non_finite_report_exits_3(self, capsys, tmp_path):
+        # p underflows to 0, so z_asym, r_asym and the coefficient ratio are
+        # infinite: no strict JSON parser reads such a report.
+        path = tmp_path / "opaque.spec"
+        path.write_text(spec_text(w_0=21.0 * EXAMPLE_SPEC.w_0, v_2=-1e-12, v_4=1.0 - 1e-12))
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 3
+        assert out == ""
+        assert "non-finite" in err
+        assert "oracle" in err
+
     def test_unbound_well_spec(self, capsys, tmp_path):
         path = tmp_path / "unbound.spec"
         path.write_text(
@@ -163,6 +174,17 @@ class TestPerturb:
         # Out of the first-order regime, whichever way the shift is given.
         path = tmp_path / "thin.spec"
         path.write_text(spec_text(w_0=EXAMPLE_SPEC.w_2 / 10.0))
+        code, out, err = run_cli(capsys, "perturb", str(path), *flag)
+        assert code == 3
+        assert out == ""
+        assert "phase correction too large" in err
+
+    @pytest.mark.parametrize("flag", [["--v", "1.5"], ["--ratio", "3"], ["--delta-v", "1e-12"]])
+    def test_closed_form_refusal_comes_before_the_shift_check(self, capsys, tmp_path, flag):
+        # The ground state's sqrt(p)/b is 0.096, the excited level's eps 0.103:
+        # the pipeline refuses the spec, whatever shift would be derived.
+        path = tmp_path / "edge.spec"
+        path.write_text(spec_text(w_0=0.57))
         code, out, err = run_cli(capsys, "perturb", str(path), *flag)
         assert code == 3
         assert out == ""

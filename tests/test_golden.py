@@ -4,10 +4,10 @@
 and exact stdout of every report subcommand (``solve``, ``solve --verbose``
 with its stderr, ``perturb`` with each of its three flags, ``oracle``,
 ``paper-example``), the sha256 of both ``sample`` CSVs, and the float64
-bytes of ``evaluate``, ``derivative``, ``probabilities`` and
-``evaluate_single`` on a grid that includes every region edge and both of
-its ``nextafter`` neighbours.  A refactor that changes one ulp of any of
-these fails here.
+bytes of ``evaluate``, ``derivative`` and ``probabilities`` of both levels
+and of ``evaluate`` of both single-well states, on a grid that includes
+every region edge and both of its ``nextafter`` neighbours.  A refactor
+that changes one ulp of any of these fails here.
 
 Regenerate the corpus only when an output is meant to change:
 
@@ -34,7 +34,6 @@ from doublewell import (
     assemble,
     derivative,
     evaluate,
-    evaluate_single,
     parse_spec,
     probabilities,
     single_well_model,
@@ -97,7 +96,8 @@ def _grid(edges, centers, lo, hi) -> np.ndarray:
 
 
 def _fields(text: str) -> dict:
-    """evaluate/derivative/probabilities/evaluate_single bytes of one spec."""
+    """evaluate/derivative/probabilities bytes of one spec's levels and
+    evaluate bytes of its single-well states."""
     spec = parse_spec(text)
     result = solve_double_well(spec)
     fields = {}
@@ -123,7 +123,7 @@ def _fields(text: str) -> dict:
             spec.x_m3 - 5.0 / state.kappa_outer,
             spec.x_3 + 5.0 / state.kappa_outer,
         )
-        fields[f"single_{side}"] = {"x": _hex(xs), "psi": _hex(evaluate_single(state, xs))}
+        fields[f"single_{side}"] = {"x": _hex(xs), "psi": _hex(evaluate(state, xs))}
     return fields
 
 
