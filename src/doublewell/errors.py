@@ -64,8 +64,10 @@ class ExcitedBelowZero(DoubleWellError, RuntimeError):
 
 
 class AssumptionViolated(DoubleWellError, RuntimeError):
-    """A first-order correction epsilon exceeded the trust threshold 0.1;
-    the thick-barrier expansion is unreliable for this input."""
+    """The closed form does not apply to this input: a first-order
+    correction epsilon exceeded the trust threshold 0.1, or a result left
+    the float64 range (a report value or an assembled wavefunction that
+    overflows, a half-splitting that underflows to 0)."""
 
 
 class NotSymmetric(DoubleWellError, ValueError):

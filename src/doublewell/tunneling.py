@@ -7,17 +7,17 @@ of the symmetric (ground) combination inside the barrier satisfies
     r0 = (a_left + a_right)/2 + sqrt(((a_right - a_left)/2)^2 + P e^{-2 r0})
 
 and the antisymmetric (excited) combination the same with a minus sign in
-front of the square root.  Writing p = P e^{-2 r0}, the per-well phase
-corrections are epsilon = (r0 - a)/b per side (sign flipped for the
-excited state), which shift each well's phase Y -> Y (1 -+ epsilon) and
-hence its energy estimate V_well + K_well [Y (1 -+ epsilon)]^2.
+front of the square root.  The code carries that sign as s = +1 (ground)
+or -1 (excited) and evaluates each excited formula as the ground one at
+-(a_right - a_left).  Writing p = P e^{-2 r0}, the per-well phase
+corrections are epsilon = s (r0 - a)/b per side, which shift each well's
+phase Y -> Y (1 - s epsilon) and hence its energy estimate
+V_well + K_well [Y (1 - s epsilon)]^2.
 
 The asymmetry variable z = (a_right - a_left) / (2 sqrt(p)) controls the
 left/right localization probabilities
 
-    P_left = (sqrt(1+z^2) - z) / (2 sqrt(1+z^2)),   P_right = 1 - P_left
-
-for the ground state (swapped for the excited state).
+    P_left = (sqrt(1+z^2) - s z) / (2 sqrt(1+z^2)),   P_right = 1 - P_left.
 """
 
 from __future__ import annotations
@@ -138,21 +138,16 @@ def solve_r0(parity: Parity, a_left: float, a_right: float, p_cap: float) -> tup
     )
 
 
-def _stable_gaps(parity: Parity, d: float, p: float) -> tuple[float, float]:
-    """Distances of r0 from a_left and a_right without cancellation.
+def _stable_gaps(d: float, p: float) -> tuple[float, float]:
+    """Ground-state distances r0 - a_left and r0 - a_right, cancellation-free.
 
-    For the ground state r0 - a_left = h + d and r0 - a_right = h - d with
-    h = sqrt(d^2 + p), d = (a_right - a_left)/2; whichever of the two
-    suffers cancellation is replaced by p / (other), exact because
-    (h + d)(h - d) = p.  The excited gaps a - r0 are the mirror image.
+    They are h + d and h - d with h = sqrt(d^2 + p), d = (a_right - a_left)/2;
+    whichever suffers cancellation is replaced by p / (other), exact as
+    (h + d)(h - d) = p.  The excited gaps a - r0 are these at -d.
     """
     h = math.sqrt(d * d + p)
-    if parity == Parity.GROUND:
-        gap_left = h + d if d >= 0.0 else p / (h - d)
-        gap_right = h - d if d <= 0.0 else p / (h + d)
-    else:
-        gap_left = h - d if d <= 0.0 else p / (h + d)
-        gap_right = h + d if d >= 0.0 else p / (h - d)
+    gap_left = h + d if d >= 0.0 else p / (h - d)
+    gap_right = h - d if d <= 0.0 else p / (h + d)
     return gap_left, gap_right
 
 
@@ -193,17 +188,18 @@ def correct_energy(
 ) -> CoupledSolution:
     """First-order phase corrections and the coupled level's energy.
 
-    Raises :class:`AssumptionViolated` when either epsilon exceeds 0.1
-    (:func:`_check_trust`).
+    The level enters only as its sign s (+1 ground, -1 excited), which
+    turns each ground formula into the excited one at -d.  Raises
+    :class:`AssumptionViolated` when either epsilon exceeds 0.1.
     """
+    s = 1.0 if parity == Parity.GROUND else -1.0
     d = 0.5 * (right_well.a_coef - left_well.a_coef)
-    gap_left, gap_right = _stable_gaps(parity, d, p_small)
+    gap_left, gap_right = _stable_gaps(s * d, p_small)
     eps_left = gap_left / left_well.b_coef
     eps_right = gap_right / right_well.b_coef
     _check_trust(eps_left, eps_right)
-    flip = -1.0 if parity == Parity.GROUND else 1.0
-    y_left = left_well.y_cap * (1.0 + flip * eps_left)
-    y_right = right_well.y_cap * (1.0 + flip * eps_right)
+    y_left = left_well.y_cap * (1.0 - s * eps_left)
+    y_right = right_well.y_cap * (1.0 - s * eps_right)
     energy_left = spec.v_m2 + reduced.k_m2 * y_left * y_left
     energy_right = spec.v_2 + reduced.k_2 * y_right * y_right
     energy = 0.5 * (energy_left + energy_right)
@@ -224,10 +220,7 @@ def correct_energy(
         z = d / math.sqrt(p_small)
     else:
         z = 0.0 if d == 0.0 else math.copysign(math.inf, d)
-    if parity == Parity.GROUND:
-        prob_left, prob_right = _probability_split(z)
-    else:
-        prob_right, prob_left = _probability_split(z)
+    prob_left, prob_right = _probability_split(s * z)
     return CoupledSolution(
         parity=parity,
         r0=r0,
@@ -265,30 +258,25 @@ def coefficient_ratio(
     """Squared left/right well amplitude ratio (A_left / A_right)^2.
 
     The ratio factorizes into a well-shape prefactor and a detuning
-    bracket; with dA = a_right - a_left, R = sqrt(dA^2 + 4p),
-
-        ground:  (R - dA) / (R + dA),    excited: (R + dA) / (R - dA),
-
-    each evaluated in its cancellation-free form using
-    (R - dA)(R + dA) = 4p.  The excited bracket uses that state's own
-    p_small.
+    bracket (R - s dA) / (R + s dA), with dA = a_right - a_left,
+    R = sqrt(dA^2 + 4p) and s the level's sign.  As (R - dA)(R + dA) = 4p,
+    it is 4p / big when dA >= 0 matches the ground level and big / (4p)
+    otherwise, with the cancellation-free big = (R + |dA|)^2.  The excited
+    bracket uses that state's own p_small.
     """
     d_a = right_well.a_coef - left_well.a_coef
     p = solution.p_small
+    ground = solution.parity == Parity.GROUND
     prefactor = (
         right_well.s_inner**2 * left_well.b_coef * left_well.c_coef
     ) / (left_well.s_inner**2 * right_well.b_coef * right_well.c_coef)
     if p == 0.0:
         if d_a == 0.0:
             return prefactor
-        shrinking = d_a > 0.0 if solution.parity == Parity.GROUND else d_a < 0.0
-        return 0.0 if shrinking else math.inf
+        return 0.0 if (d_a > 0.0) == ground else math.inf
     r_cap = math.hypot(d_a, 2.0 * math.sqrt(p))
-    if solution.parity == Parity.GROUND:
-        bracket = 4.0 * p / (d_a + r_cap) ** 2 if d_a >= 0.0 else (r_cap - d_a) ** 2 / (4.0 * p)
-    else:
-        bracket = (d_a + r_cap) ** 2 / (4.0 * p) if d_a >= 0.0 else 4.0 * p / (r_cap - d_a) ** 2
-    return prefactor * bracket
+    big = (d_a + r_cap) ** 2 if d_a >= 0.0 else (r_cap - d_a) ** 2
+    return prefactor * (4.0 * p / big if (d_a >= 0.0) == ground else big / (4.0 * p))
 
 
 def solve_double_well(spec: WellSpec) -> DoubleWellResult:

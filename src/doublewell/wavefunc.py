@@ -24,7 +24,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, IO
 
-from .errors import BadRange, DomainError, GridTooCoarse, MatchingResidualTooLarge
+from .errors import (
+    AssumptionViolated, BadRange, DomainError, GridTooCoarse, MatchingResidualTooLarge,
+)
 from .isolated import IsolatedWellSolution, derive_well, solve_y
 from .params import ReducedParams, WellSpec, wavenumbers
 from .tunneling import CoupledSolution, Parity
@@ -135,36 +137,43 @@ def _assemble_core(
             f"barrier extremum {barrier_node!r} falls outside the barrier "
             f"({spec.x_m1!r}, {spec.x_1!r}); inputs are inconsistent"
         )
-    hyp = math.sinh if excited else math.cosh
-    edge_left = hyp(r_left)
-    edge_right = hyp(kappa_0 * spec.w_0 - r_left)
     sin_m1 = math.sin(phase_m1)
     sin_1 = math.sin(phase_1)
     if sin_m1 <= 0.0 or sin_1 <= 0.0:
         raise DomainError(
             f"inner phase out of range: phase_m1={phase_m1!r}, phase_1={phase_1!r}"
         )
-    amp_m2 = edge_left / sin_m1
-    amp_2 = edge_right / sin_1
-    amps = dict(amp_m4=amp_m2 * s_m3, amp_m2=amp_m2, amp_0=1.0, amp_2=amp_2, amp_4=amp_2 * s_3)
-    model = WavefunctionModel(
-        parity=parity,
-        energy=energy,
-        x_m3=spec.x_m3,
-        x_m1=spec.x_m1,
-        x_1=spec.x_1,
-        x_3=spec.x_3,
-        extremum_left=extremum_left,
-        extremum_right=extremum_right,
-        barrier_node=barrier_node,
-        kappa_m4=kappa_m4,
-        kappa_0=kappa_0,
-        kappa_4=kappa_4,
-        k_m2=k_m2,
-        k_2=k_2,
-        **amps,
-    )
-    scale = 1.0 / math.sqrt(sum(probabilities(model)))
+    hyp = math.sinh if excited else math.cosh
+    try:
+        amp_m2 = hyp(r_left) / sin_m1
+        amp_2 = hyp(kappa_0 * spec.w_0 - r_left) / sin_1
+        amps = dict(amp_m4=amp_m2 * s_m3, amp_m2=amp_m2, amp_0=1.0, amp_2=amp_2, amp_4=amp_2 * s_3)
+        model = WavefunctionModel(
+            parity=parity,
+            energy=energy,
+            x_m3=spec.x_m3,
+            x_m1=spec.x_m1,
+            x_1=spec.x_1,
+            x_3=spec.x_3,
+            extremum_left=extremum_left,
+            extremum_right=extremum_right,
+            barrier_node=barrier_node,
+            kappa_m4=kappa_m4,
+            kappa_0=kappa_0,
+            kappa_4=kappa_4,
+            k_m2=k_m2,
+            k_2=k_2,
+            **amps,
+        )
+        norm = sum(probabilities(model))
+    except OverflowError:
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise AssumptionViolated(
+            f"the wavefunction leaves the float64 range (norm {norm!r}) behind a "
+            f"barrier of opacity kappa_0 w_0 = {kappa_0 * spec.w_0!r}"
+        )
+    scale = 1.0 / math.sqrt(norm)
     model = replace(model, **{name: amp * scale for name, amp in amps.items()})
     _check_matching(model)
     return model
@@ -398,8 +407,8 @@ def closed_form_probabilities(
 ) -> tuple[float, float]:
     """Infinite-barrier closed form P_side = A^2 w / (2 U Y) per side.
 
-    Exact only in the decoupled limit; reported alongside the analytic
-    integrals rather than reconciled with them.
+    Exact only in the decoupled limit, where it approaches
+    :func:`probabilities`; no report carries it.
     """
     p_left = 0.5 * model.amp_m2**2 * spec.w_m2 / (left_well.u_cap * left_well.y_cap)
     p_right = 0.5 * model.amp_2**2 * spec.w_2 / (right_well.u_cap * right_well.y_cap)

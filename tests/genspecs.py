@@ -16,8 +16,11 @@ so tuning the right well's depth to match opacities up to a factor
 from __future__ import annotations
 
 import math
+import os
 import random
+from pathlib import Path
 
+import doublewell
 from doublewell import WellSpec, solve_y
 
 EXAMPLE_SPEC = WellSpec(
@@ -33,6 +36,13 @@ EXAMPLE_SPEC = WellSpec(
     w_2=2.0 * math.pi / 3.0,
 )
 
+
+def child_env():
+    """Environment whose PYTHONPATH finds the doublewell package imported here,
+    so a child interpreter runs the same code without an install."""
+    src = str(Path(doublewell.__file__).resolve().parents[1])
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + rest if rest else "")}
 
 
 def _well_shape(alpha_inner: float, ratio_outer: float) -> tuple[float, float, float]:

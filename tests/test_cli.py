@@ -1,7 +1,6 @@
 """Command-line interface: JSON reports, CSV output, exit codes."""
 
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -10,12 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import doublewell
 from doublewell import errors
 from doublewell.cli import main
-from genspecs import EXAMPLE_SPEC
+from genspecs import EXAMPLE_SPEC, child_env
 
 EXACT_E0 = 0.24999999823189692
+# The worked example behind 21 times its barrier with the right floors
+# lowered by 1e-12: p underflows to 0 and the wavefunction overflows float64.
+DETUNED_OPAQUE = {"w_0": 21.0 * EXAMPLE_SPEC.w_0, "v_2": -1e-12, "v_4": 1.0 - 1e-12}
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 # Resolves a declared entry point and calls it the way an installer's generated
@@ -39,14 +40,6 @@ atexit.register(lambda: sys.stderr.write(f"\\nnumpy imported: {'numpy' in sys.mo
 sys.argv = ["doublewell", *sys.argv[1:]]
 runpy.run_module("doublewell", run_name="__main__", alter_sys=True)
 """
-
-
-def child_env():
-    """Environment whose PYTHONPATH finds the doublewell package imported here,
-    so a child interpreter runs the same code without an install."""
-    src = str(Path(doublewell.__file__).resolve().parents[1])
-    rest = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": src + (os.pathsep + rest if rest else "")}
 
 
 def spec_text(**overrides):
@@ -142,7 +135,7 @@ class TestSolve:
         # p underflows to 0, so z_asym, r_asym and the coefficient ratio are
         # infinite: no strict JSON parser reads such a report.
         path = tmp_path / "opaque.spec"
-        path.write_text(spec_text(w_0=21.0 * EXAMPLE_SPEC.w_0, v_2=-1e-12, v_4=1.0 - 1e-12))
+        path.write_text(spec_text(**DETUNED_OPAQUE))
         code, out, err = run_cli(capsys, "solve", str(path))
         assert code == 3
         assert out == ""
@@ -267,6 +260,14 @@ class TestOracle:
         assert "degenerate at float64 resolution" in err.split("hint:", 1)[1]
         assert "binds no level" not in err
 
+    def test_overflowing_exact_state_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "opaque.spec"
+        path.write_text(spec_text(**DETUNED_OPAQUE))
+        code, out, err = run_cli(capsys, "oracle", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: the wavefunction leaves the float64 range")
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1"])
     def test_tolerance_outside_the_unit_interval_exits_2(self, capsys, spec_file, tol):
         code, out, err = run_cli(capsys, "oracle", spec_file, "--tol", tol)
@@ -334,6 +335,22 @@ class TestSample:
             capsys, "sample", spec_file, "--points", "1", "--out", str(tmp_path / "x.csv")
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "overrides", [{"w_0": 40.0 * EXAMPLE_SPEC.w_0}, DETUNED_OPAQUE], ids=["x40", "x21-detuned"]
+    )
+    @pytest.mark.parametrize("state", ["ground", "excited"])
+    def test_overflowing_wavefunction_exits_3(self, capsys, tmp_path, overrides, state):
+        path = tmp_path / "opaque.spec"
+        path.write_text(spec_text(**overrides))
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "sample", str(path), "--state", state, "--out", str(out_path)
+        )
+        assert code == 3
+        assert out == ""
+        assert not out_path.exists()
+        assert err.startswith("error: the wavefunction leaves the float64 range")
 
     def test_unwritable_destination(self, capsys, spec_file, tmp_path):
         dest = tmp_path / "missing_dir" / "x.csv"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doublewell import (
+    AssumptionViolated,
     DegeneracyUnresolved,
     DomainError,
     EnergyOutOfBand,
@@ -411,6 +412,13 @@ class TestCompare:
         report = compare(RIGHT_EXTREMUM_SPEC)
         assert report.ratio_exact == pytest.approx(1.5925907567771588e-34, rel=1e-6)
         assert report.err_ratio < 1e-5
+
+    def test_overflowing_exact_state_is_refused(self, example_spec):
+        # Both levels resolve, but the exact state's unscaled barrier piece
+        # leaves the float64 range.
+        spec = replace(example_spec, w_0=21.0 * example_spec.w_0, v_2=-1e-12, v_4=1.0 - 1e-12)
+        with pytest.raises(AssumptionViolated, match="float64 range"):
+            compare(spec)
 
     def test_example_errors_are_small(self, example_spec):
         report = compare(example_spec)

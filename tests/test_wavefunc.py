@@ -3,6 +3,7 @@
 import io
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doublewell import (
+    AssumptionViolated,
     BadRange,
     DomainError,
     EnergyOutOfBand,
@@ -140,6 +142,21 @@ class TestShape:
                     val = evaluate(model, x)
                     assert math.isfinite(val)
                     assert abs(val) < 1e-18 * max(model.amp_m2, model.amp_2)
+
+    @pytest.mark.parametrize(
+        "scale, floors",
+        [
+            (40.0, {}),  # a piece mass overflows
+            (80.0, {}),  # cosh of the barrier offset overflows
+            (21.0, {"v_2": -1e-12, "v_4": 1.0 - 1e-12}),  # the deeper side's barrier mass
+        ],
+    )
+    def test_float64_overflow_is_refused(self, scale, floors):
+        spec = replace(EXAMPLE_SPEC, w_0=scale * EXAMPLE_SPEC.w_0, **floors)
+        res = solve_double_well(spec)
+        for level in (res.ground, res.excited):
+            with pytest.raises(AssumptionViolated, match="float64 range"):
+                assemble(spec, res.reduced, level)
 
     def test_derivative_consistent_with_finite_differences(self, example_spec):
         _, ground, _ = _models(example_spec)
