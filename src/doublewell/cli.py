@@ -355,6 +355,11 @@ EXIT_CODES = (
     ),
     ((ValueError, OSError), 2, ""),
 )
+# The exit-3 hint of ``oracle`` itself, which must not send it back to itself.
+_ORACLE_HINT_3 = (
+    "hint: the closed-form approximation does not apply to this potential, "
+    "and `oracle` compares the exact energies against it.\n"
+)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -368,6 +373,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DoubleWellError, OSError) as exc:
         for errors, code, hint in EXIT_CODES:
             if isinstance(exc, errors):
+                if code == 3 and args.func is cmd_oracle:
+                    hint = _ORACLE_HINT_3
                 sys.stderr.write(f"error: {exc}\n{hint}")
                 return code
         raise

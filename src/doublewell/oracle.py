@@ -11,10 +11,11 @@ reaching the wall) and every level target (n + 3/4) pi, where
 u' + kappa_4 u = 0, upward only, so level n is the one energy at which
 Theta crosses (n + 3/4) pi and it has n interior nodes.
 
-Each level is one bracket between the band ends, judged by the phase
-alone; its trial energies come from Muller steps on the smooth decay
-residual u' + kappa_4 u, safeguarded by bisection: about 50 shoots per
-:func:`compare`.
+Each level is one bracket, judged by the phase alone: grown outward from
+the closed-form level when :func:`compare` passes it as a guess, else taken
+between the band ends.  Its trial energies come from Muller steps on the
+smooth decay residual u' + kappa_4 u, safeguarded by bisection: about 15
+shoots per :func:`compare` (about 50 from the band ends).
 
 Used to quantify the error of the closed-form approximation via
 :func:`compare`.
@@ -152,19 +153,65 @@ def _refine(
         widths.append(hi.energy - lo.energy)
 
 
-def find_level(spec: WellSpec, which: Parity, tol_rel: float = 1e-13) -> float:
+def _bracket_guess(
+    spec: WellSpec, guess: float, bottom: float, top: float, target: float
+) -> tuple[ShootResult, ShootResult] | None:
+    """Shots below and above the ``target`` phase crossing, grown outward
+    from ``guess``: first at guess -+ h, h = max(1e-12 |guess|, 1e-15 (top -
+    bottom)), then with h sixteen times wider, reusing the failing shot as
+    the other end, and clipped to [bottom, top].  None unless bottom <
+    guess < top, and when a band-end shot fails, that is when the band-end
+    bracket fails too.
+    """
+    if not bottom < guess < top:
+        return None
+    h = max(1e-12 * abs(guess), 1e-15 * (top - bottom))
+    below = shoot(spec, max(guess - h, bottom))
+    above = shoot(spec, min(guess + h, top))
+    while True:
+        if not below.phase <= target:
+            if below.energy == bottom:
+                return None
+            h *= 16.0
+            below, above = shoot(spec, max(guess - h, bottom)), below
+        elif not above.phase > target:
+            if above.energy == top:
+                return None
+            h *= 16.0
+            below, above = above, shoot(spec, min(guess + h, top))
+        else:
+            return below, above
+
+
+def find_level(
+    spec: WellSpec, which: Parity, tol_rel: float = 1e-13, guess: float = math.nan
+) -> float:
     """Exact eigenvalue of the requested level to relative tolerance.
 
     Level n (0 for the ground state, 1 for the excited) is the energy at
     which the phase Theta crosses (n + 3/4) pi.  Theta only rises there, so
-    the two band ends bracket it and one :func:`_refine` call shrinks that
-    bracket to ``tol_rel``, judging each shot by Theta > (n + 3/4) pi alone
-    and stepping by the decay residual: about 25 shoots per level.
+    any two shots on either side of that crossing bracket the level, and
+    one :func:`_refine` call shrinks the bracket to ``tol_rel``, judging
+    each shot by Theta > (n + 3/4) pi alone and stepping by the decay
+    residual.
+
+    A ``guess`` strictly inside the band (inset by 1e-9 of its width) only
+    decides where the bracket starts: shots at guess -+ h, widened sixteen
+    times per step until they straddle the crossing (about 7 shoots per
+    level from a closed-form guess).  Any other guess (NaN, infinite or
+    outside the band), or one whose widening fails at a band end, takes
+    the band ends as the bracket (about 25 shoots per level).  Either way
+    the level is the same crossing, to ``tol_rel``.  A bracket inside the
+    band implies the band-end bracket, so both refuse the same inputs with
+    :class:`LevelNotFound`.
 
     Resolution rule: a level is refused when a neighbouring level lies
     within ``tol_rel`` |E| of it, that is when Theta at root -+ ``tol_rel``
-    |root| reaches the neighbour's target; a doublet split by less than
-    that cannot be separated at this tolerance.
+    |root| (clamped to the inset band) reaches the neighbour's target; a
+    doublet split by less than that cannot be separated at this tolerance.
+    The root lies within half that tolerance of the crossing, so a
+    neighbour closer than half of it is always refused and one farther
+    than 1.5 times it never is, whichever bracket was refined.
 
     Raises :class:`DomainError` before any shoot unless ``tol_rel`` is
     finite with 0 <= tol_rel < 1; :class:`LevelNotFound` when a well binds
@@ -182,19 +229,22 @@ def find_level(spec: WellSpec, which: Parity, tol_rel: float = 1e-13) -> float:
     target = (nodes + 0.75) * math.pi
     lo, hi = band(spec)
     inset = 1e-9 * (hi - lo)
-    bottom = shoot(spec, lo + inset)
-    top = shoot(spec, hi - inset)
-    if not bottom.phase <= target < top.phase:
+    bottom, top = lo + inset, hi - inset
+    below, above = _bracket_guess(spec, guess, bottom, top, target) or (
+        shoot(spec, bottom),
+        shoot(spec, top),
+    )
+    if not below.phase <= target < above.phase:
         raise LevelNotFound(
             f"the {nodes}-node level's phase target {target!r} lies outside the band-end "
-            f"phases [{bottom.phase!r}, {top.phase!r})"
+            f"phases [{below.phase!r}, {above.phase!r})"
         )
-    below, above = _refine(spec, bottom, top, target, tol_rel)
+    below, above = _refine(spec, below, above, target, tol_rel)
     root = 0.5 * (below.energy + above.energy)
     tol_abs = tol_rel * abs(root) if root != 0.0 else tol_rel * (hi - lo)
     if (
-        shoot(spec, max(root - tol_abs, bottom.energy)).phase <= target - math.pi
-        or shoot(spec, min(root + tol_abs, top.energy)).phase > target + math.pi
+        shoot(spec, max(root - tol_abs, bottom)).phase <= target - math.pi
+        or shoot(spec, min(root + tol_abs, top)).phase > target + math.pi
     ):
         raise DegeneracyUnresolved(
             f"a neighbouring level lies within tol_rel={tol_rel!r} of the {nodes}-node "
@@ -206,10 +256,11 @@ def find_level(spec: WellSpec, which: Parity, tol_rel: float = 1e-13) -> float:
 
 def compare(spec: WellSpec, tol_rel: float = 1e-13) -> OracleComparison:
     """Run the approximation pipeline and the exact solver side by side,
-    with :func:`find_level`'s ``tol_rel``."""
+    with :func:`find_level`'s ``tol_rel`` and each closed-form level as its
+    guess."""
     approx = solve_double_well(spec)
-    e0_exact = find_level(spec, Parity.GROUND, tol_rel)
-    e1_exact = find_level(spec, Parity.EXCITED, tol_rel)
+    e0_exact = find_level(spec, Parity.GROUND, tol_rel, guess=approx.splitting.e0)
+    e1_exact = find_level(spec, Parity.EXCITED, tol_rel, guess=approx.splitting.e1)
     delta_exact = 0.5 * (e1_exact - e0_exact)
     e_bar_exact = 0.5 * (e1_exact + e0_exact)
     lo, hi = band(spec)

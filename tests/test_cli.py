@@ -268,6 +268,19 @@ class TestOracle:
         assert out == ""
         assert err.startswith("error: the wavefunction leaves the float64 range")
 
+    @pytest.mark.parametrize("overrides", [DETUNED_OPAQUE, {"w_0": EXAMPLE_SPEC.w_2 / 10.0}])
+    def test_exit_3_hint_does_not_point_to_itself(self, capsys, tmp_path, overrides):
+        # solve points a failing spec to the oracle subcommand; oracle
+        # fails the same way on it and must not point to itself.
+        path = tmp_path / "failing.spec"
+        path.write_text(spec_text(**overrides))
+        solve_code, _, solve_err = run_cli(capsys, "solve", str(path))
+        code, out, err = run_cli(capsys, "oracle", str(path))
+        assert (solve_code, code, out) == (3, 3, "")
+        assert solve_err.endswith(HINT_3)
+        assert err.endswith(ORACLE_HINT_3)
+        assert "subcommand" not in err
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1"])
     def test_tolerance_outside_the_unit_interval_exits_2(self, capsys, spec_file, tol):
         code, out, err = run_cli(capsys, "oracle", spec_file, "--tol", tol)
@@ -386,6 +399,11 @@ HINT_3 = (
     "hint: the closed-form approximation does not apply to this potential; "
     "use the `oracle` subcommand for exact energies.\n"
 )
+# The exit-3 hint of ``oracle``, which must not send it back to itself.
+ORACLE_HINT_3 = (
+    "hint: the closed-form approximation does not apply to this potential, "
+    "and `oracle` compares the exact energies against it.\n"
+)
 HINT_5 = (
     "hint: LevelNotFound means the level's phase target lies outside the "
     "exact solver's phases at the band ends; DegeneracyUnresolved means the "
@@ -429,6 +447,22 @@ class TestExitCodes:
         self._raise_from_load_spec(monkeypatch, exc)
         code, out, err = run_cli(capsys, "solve", "any.spec")
         want_code, hint = EXPECTED_EXITS[name]
+        assert (code, out, err) == (want_code, "", f"error: {exc}\n{hint}")
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_EXITS))
+    @pytest.mark.parametrize(
+        "argv", [["perturb", "--v", "1"], ["sample", "--out", "psi.csv"], ["oracle"]], ids=" ".join
+    )
+    def test_error_hint_per_subcommand(self, capsys, monkeypatch, argv, name):
+        # Every subcommand prints the same hints as solve, except that
+        # oracle is not told to use the oracle subcommand.
+        cls = getattr(errors, name)
+        exc = cls("boom", 0.0, 0.0) if cls is errors.NoConvergence else cls("boom")
+        self._raise_from_load_spec(monkeypatch, exc)
+        code, out, err = run_cli(capsys, argv[0], "any.spec", *argv[1:])
+        want_code, hint = EXPECTED_EXITS[name]
+        if argv[0] == "oracle" and want_code == 3:
+            hint = ORACLE_HINT_3
         assert (code, out, err) == (want_code, "", f"error: {exc}\n{hint}")
 
     def test_os_error_exits_2(self, capsys, monkeypatch):

@@ -12,6 +12,7 @@ from doublewell import (
     AssumptionViolated,
     DegeneracyUnresolved,
     DomainError,
+    DoubleWellError,
     EnergyOutOfBand,
     LevelNotFound,
     Parity,
@@ -55,6 +56,18 @@ RIGHT_EXTREMUM_SPEC = WellSpec(
     v_m2=0.6460288887276975, v_0=2.334003199521126, v_2=0.8135286606517531,
     v_4=6.7904881820215195, w_m2=4.514751435400115, w_0=68.45479914807018,
     w_2=5.918056606892832, x_m3=-1.5452520765617859,
+)
+
+
+# Unguided levels (ground, excited) at tol_rel 1e-13, as the band-end bracket
+# gave them before find_level took a guess: the worked example, then
+# core-range symmetric, floor-detuned and asymmetric specs drawn from
+# random.Random(83) in that order.
+UNGUIDED_LEVELS = (
+    (0.24999999823189076, 0.25000000176810955),
+    (-0.6835551418223859, -0.6835549530941022),
+    (0.8803781741723863, 0.8803885251726332),
+    (1.17926622046643, 1.1792799497189796),
 )
 
 
@@ -366,6 +379,114 @@ class TestFindLevel:
         assert e1 > e0
 
 
+def level_or_refusal(spec, parity, **kwargs):
+    """find_level's level, or the class of the error it raised."""
+    try:
+        return find_level(spec, parity, **kwargs)
+    except DoubleWellError as exc:
+        return type(exc)
+
+
+def bad_guesses(spec):
+    """Guesses that carry no knowledge of the levels: both inset band ends
+    and the floats just inside them, NaN, both infinities, and energies
+    below and above the band."""
+    lo, hi = band(spec)
+    bottom, top = lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo)
+    return [
+        bottom, math.nextafter(bottom, math.inf), top, math.nextafter(top, -math.inf),
+        math.nan, math.inf, -math.inf, lo - (hi - lo), hi + (hi - lo),
+    ]
+
+
+def assert_guess_independent(spec, guesses_by_parity):
+    """Every guess gives the unguided level to tol_rel |E|, or its refusal."""
+    tol_rel = 1e-13
+    for parity, guesses in guesses_by_parity.items():
+        want = level_or_refusal(spec, parity, tol_rel=tol_rel)
+        for guess in guesses:
+            got = level_or_refusal(spec, parity, tol_rel=tol_rel, guess=guess)
+            if isinstance(want, float):
+                assert isinstance(got, float), (parity, guess, got)
+                assert abs(got - want) <= tol_rel * abs(want), (parity, guess)
+            else:
+                assert got is want, (parity, guess, got)
+
+
+def closed_form_guesses(spec):
+    """Per level: the bad guesses, the closed-form level itself, 1e-3 |E|
+    off it on either side, and the other level's closed-form energy."""
+    split = solve_double_well(spec).splitting
+    own = {Parity.GROUND: split.e0, Parity.EXCITED: split.e1}
+    other = {Parity.GROUND: split.e1, Parity.EXCITED: split.e0}
+    return {
+        parity: bad_guesses(spec)
+        + [e, e - 1e-3 * abs(e), e + 1e-3 * abs(e), other[parity]]
+        for parity, e in own.items()
+    }
+
+
+class TestGuess:
+    @settings(max_examples=40, deadline=None)
+    @given(spec=core_specs())
+    def test_guess_cannot_change_a_core_level(self, spec):
+        assert_guess_independent(spec, closed_form_guesses(spec))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_guess_cannot_change_a_refusal(self, seed):
+        # Symmetric specs past the oracle's resolution: every level is
+        # refused as degenerate, guess or none.
+        spec = random_symmetric_spec(random.Random(seed), a_range=(30.0, 60.0))
+        assert level_or_refusal(spec, Parity.GROUND) is DegeneracyUnresolved
+        assert_guess_independent(spec, closed_form_guesses(spec))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_guess_cannot_change_a_census_level(self, seed):
+        # The oracle benchmark's census bands past the core: floor-detuned
+        # at opacity 15-26, asymmetric at 12-26.
+        rng = random.Random(seed)
+        for spec in (
+            random_symmetric_spec(rng, a_range=(15.0, 26.0), detune_scale=1e-11),
+            asymmetric_spec(rng, a_target=rng.uniform(12.0, 26.0), eta=1e-8),
+        ):
+            assert_guess_independent(spec, closed_form_guesses(spec))
+
+    def test_guess_cannot_find_a_level_outside_the_band(self):
+        # No band energy has the node count; guesses across the band widen
+        # to a band end and refuse as the band-end bracket does.
+        lo, hi = band(NO_WINDOW_SPEC)
+        inside = [lo + f * (hi - lo) for f in (0.01, 0.25, 0.5, 0.75, 0.99)]
+        guesses = bad_guesses(NO_WINDOW_SPEC) + inside
+        assert level_or_refusal(NO_WINDOW_SPEC, Parity.GROUND) is LevelNotFound
+        assert_guess_independent(NO_WINDOW_SPEC, dict.fromkeys(Parity, guesses))
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_guess_cannot_separate_a_doublet_within_tolerance(
+        self, monkeypatch, example_spec, parity
+    ):
+        # The targets are crossed 2e-14 apart around 0.5, within half of
+        # tol_rel |E| = 5e-14: the root lies within half that of its
+        # crossing, however the bracket starts, so the resolution rule
+        # finds the neighbour.  (A neighbour 0.5-1.5 tol_rel |E| away is
+        # found or not as the root falls inside its final bracket.)
+        monkeypatch.setattr(oracle, "shoot", phase_stub(doublet_phase(0.5, 2e-14)))
+        for guess in (0.5, 0.5 - 2e-14, 0.5 + 2e-14, 0.25, 0.75):
+            with pytest.raises(DegeneracyUnresolved, match="within tol_rel"):
+                find_level(example_spec, parity, guess=guess)
+
+    def test_unguided_levels_keep_the_band_end_bits(self, example_spec):
+        rng = random.Random(83)
+        specs = [
+            example_spec,
+            random_symmetric_spec(rng, a_range=(8.0, 15.0)),
+            random_symmetric_spec(rng, a_range=(8.0, 15.0), detune_scale=1e-11),
+            asymmetric_spec(rng, a_target=10.0, eta=1e-8),
+        ]
+        for spec, levels in zip(specs, UNGUIDED_LEVELS):
+            assert tuple(find_level(spec, parity, 1e-13) for parity in Parity) == levels
+            assert tuple(find_level(spec, parity) for parity in Parity) == levels
+
+
 class TestCompare:
     def test_shoot_budget(self, monkeypatch, example_spec):
         # compare finds each level once, through the module's find_level and
@@ -380,9 +501,9 @@ class TestCompare:
         per_level = []
         real_find_level = oracle.find_level
 
-        def counting_find_level(spec, which, tol_rel):
+        def counting_find_level(spec, which, tol_rel, guess=math.nan):
             before = len(calls)
-            root = real_find_level(spec, which, tol_rel)
+            root = real_find_level(spec, which, tol_rel, guess=guess)
             per_level.append((which, len(calls) - before))
             return root
 
@@ -391,9 +512,9 @@ class TestCompare:
         compare(example_spec)
         assert [which for which, _ in per_level] == [Parity.GROUND, Parity.EXCITED]
         (_, ground), (_, excited) = per_level
-        assert ground <= 30
-        assert excited <= 30
-        assert len(calls) <= 55
+        assert ground <= 10
+        assert excited <= 10
+        assert len(calls) <= 20
 
     def test_exact_levels_are_find_level_bit_for_bit(self, example_spec):
         rng = random.Random(71)
@@ -403,10 +524,17 @@ class TestCompare:
             random_symmetric_spec(rng, a_range=(8.0, 15.0), detune_scale=1e-11),
             asymmetric_spec(rng, a_target=10.0, eta=1e-8),
         ]
+        tol_rel = 1e-13
         for spec in specs:
-            report = compare(spec)
-            assert report.e0_exact == find_level(spec, Parity.GROUND)
-            assert report.e1_exact == find_level(spec, Parity.EXCITED)
+            report = compare(spec, tol_rel)
+            split = solve_double_well(spec).splitting
+            for parity, exact, guess in (
+                (Parity.GROUND, report.e0_exact, split.e0),
+                (Parity.EXCITED, report.e1_exact, split.e1),
+            ):
+                assert exact == find_level(spec, parity, tol_rel, guess=guess)
+                unguided = find_level(spec, parity, tol_rel)
+                assert abs(exact - unguided) <= tol_rel * abs(unguided)
 
     def test_extremum_near_the_right_edge_is_read_from_the_right_tail(self):
         report = compare(RIGHT_EXTREMUM_SPEC)
