@@ -9,6 +9,9 @@ Subcommands:
 * ``paper-example`` -- run the built-in worked example against its
   embedded reference values.
 
+``perturb``, ``oracle``, ``wavefunc`` and numpy are imported inside the functions
+that use them, so a cold call loads only the modules its subcommand runs.
+
 Reports are deterministic: fixed key order, floats serialized with
 ``repr`` (lossless round-trip), and no timestamps, so identical inputs
 produce byte-identical output.  A report never carries a non-finite float:
@@ -32,11 +35,8 @@ from .errors import (
     AssumptionViolated, DegeneracyUnresolved, DoubleWellError, LevelNotFound, NotSymmetric,
 )
 from .isolated import newton_initial, newton_step, series_y
-from .oracle import compare
 from .params import WellSpec, load_spec
-from .perturb import invert_ratio, perturbed_levels, symmetric_base
 from .tunneling import DoubleWellResult, Parity, coefficient_ratio, solve_double_well
-from .wavefunc import assemble, sample, write_sample_csv
 
 __all__ = ["EXAMPLE_SPEC", "main"]
 
@@ -139,6 +139,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_perturb(args: argparse.Namespace) -> int:
+    from .perturb import invert_ratio, perturbed_levels, symmetric_base
     spec = load_spec(args.spec)
     base = symmetric_base(spec)
     # Every closed-form refusal (exit 3) comes before the shift is judged (exit 2).
@@ -159,6 +160,7 @@ def cmd_perturb(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import compare
     spec = load_spec(args.spec)
     comparison = compare(spec, args.tol)
     report = build_report(solve_double_well(spec))
@@ -168,6 +170,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    from .wavefunc import assemble, sample, write_sample_csv
     spec = load_spec(args.spec)
     result = solve_double_well(spec)
     parity = Parity(args.state)
@@ -196,6 +199,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def _example_rows() -> list[tuple[str, float, float, float, str]]:
     """(name, got, expected, tolerance, mode) for every reference value."""
+    from .perturb import perturbed_levels, symmetric_base
     spec = EXAMPLE_SPEC
     result = solve_double_well(spec)
     reduced = result.reduced

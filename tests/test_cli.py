@@ -31,12 +31,17 @@ sys.exit(main())
 """
 
 # Runs ``python -m doublewell`` with the given arguments and reports on stderr,
-# after every other exit handler, whether numpy was imported.
-NUMPY_PROBE = """
+# after every other exit handler, the sorted ``doublewell`` modules loaded and
+# whether numpy was imported.
+IMPORT_PROBE = """
 import atexit
 import runpy
 import sys
-atexit.register(lambda: sys.stderr.write(f"\\nnumpy imported: {'numpy' in sys.modules}\\n"))
+def report():
+    loaded = sorted(m for m in sys.modules if m.startswith("doublewell."))
+    sys.stderr.write(f"\\ndoublewell modules: {' '.join(loaded)}")
+    sys.stderr.write(f"\\nnumpy imported: {'numpy' in sys.modules}\\n")
+atexit.register(report)
 sys.argv = ["doublewell", *sys.argv[1:]]
 runpy.run_module("doublewell", run_name="__main__", alter_sys=True)
 """
@@ -537,16 +542,38 @@ class TestInstalledEntryPoints:
         assert "FAIL" not in proc.stdout
 
 
+# The submodules ``import doublewell.cli`` loads, and those each command adds.
+CLI_MODULES = {"cli", "errors", "isolated", "params", "tunneling"}
+COMMAND_MODULES = {
+    "solve": set(),
+    "perturb": {"perturb"},
+    "paper-example": {"perturb"},
+    "oracle": {"oracle", "wavefunc"},
+    "sample": {"wavefunc"},
+}
+
+
+def loaded_modules(stderr):
+    """The ``doublewell`` submodules IMPORT_PROBE reports on ``stderr``."""
+    prefix, _, names = stderr.splitlines()[-2].partition(": ")
+    assert prefix == "doublewell modules"
+    return {name.removeprefix("doublewell.") for name in names.split()}
+
+
 class TestColdStart:
-    """Only ``sample`` and the array evaluators pay for importing numpy."""
+    """Each subcommand loads only the modules it runs; only ``sample`` and the
+    array evaluators pay for importing numpy."""
 
     def probe(self, *argv):
         return subprocess.run(
-            [sys.executable, "-c", NUMPY_PROBE, *argv],
+            [sys.executable, "-c", IMPORT_PROBE, *argv],
             capture_output=True,
             text=True,
             env=child_env(),
         )
+
+    def assert_loads(self, proc, command):
+        assert loaded_modules(proc.stderr) == CLI_MODULES | COMMAND_MODULES[command]
 
     def test_import_loads_no_numpy(self):
         proc = subprocess.run(
@@ -558,12 +585,27 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
+    def test_cli_import_loads_closed_form_only(self):
+        code = (
+            "import sys, doublewell.cli\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'doublewell'))\n"
+            "print('numpy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        modules = sorted(["doublewell", *(f"doublewell.{name}" for name in CLI_MODULES)])
+        assert proc.stdout == f"{modules}\nFalse\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["solve"],
             ["solve", "--verbose"],
             ["perturb", "--v", "1"],
+            ["perturb", "--ratio", "2"],
+            ["perturb", "--delta-v", "1e-9"],
             ["oracle"],
         ],
         ids=" ".join,
@@ -573,12 +615,14 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["splitting"]["e_bar"] == pytest.approx(0.25)
         assert proc.stderr.endswith("\nnumpy imported: False\n")
+        self.assert_loads(proc, argv[0])
 
     def test_paper_example_loads_no_numpy(self):
         proc = self.probe("paper-example")
         assert proc.returncode == 0, proc.stderr
         assert "FAIL" not in proc.stdout
         assert proc.stderr.endswith("\nnumpy imported: False\n")
+        self.assert_loads(proc, "paper-example")
 
     def test_error_exit_loads_no_numpy(self, tmp_path):
         path = tmp_path / "thin.spec"
@@ -587,6 +631,24 @@ class TestColdStart:
         assert proc.returncode == 3
         assert "oracle" in proc.stderr
         assert proc.stderr.endswith("\nnumpy imported: False\n")
+        self.assert_loads(proc, "solve")
+
+    @pytest.mark.parametrize(
+        "argv, text, code",
+        [
+            (["solve"], "hbar = 1.0\nnot a valid line\n", 2),
+            (["perturb", "--v", "1"], spec_text(v_2=-1e-4, v_4=1.0 - 1e-4), 4),
+        ],
+        ids=["solve-malformed", "perturb-asymmetric"],
+    )
+    def test_refusal_loads_only_its_command(self, tmp_path, argv, text, code):
+        path = tmp_path / "refused.spec"
+        path.write_text(text)
+        proc = self.probe(argv[0], str(path), *argv[1:])
+        assert proc.returncode == code
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.endswith("\nnumpy imported: False\n")
+        self.assert_loads(proc, argv[0])
 
     def test_sample_loads_numpy(self, spec_file, tmp_path):
         out = tmp_path / "psi.csv"
@@ -594,3 +656,4 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert out.read_text().startswith("x,psi,dpsi\n")
         assert proc.stderr.endswith("\nnumpy imported: True\n")
+        self.assert_loads(proc, "sample")
