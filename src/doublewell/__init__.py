@@ -23,10 +23,9 @@ __version__ = "1.0.0"
 _EXPORTS = {
     "errors": (
         "DoubleWellError", "InvalidSpec", "DomainError", "NotSymmetric",
-        "PerturbationTooLarge", "EnergyOutOfBand", "GridTooCoarse", "BadRange",
-        "NoConvergence", "ExcitedBelowZero", "AssumptionViolated",
-        "MatchingResidualTooLarge", "LevelNotFound", "DegeneracyUnresolved",
-        "SeriesUnreliable",
+        "PerturbationTooLarge", "EnergyOutOfBand", "BadRange", "NoConvergence",
+        "ExcitedBelowZero", "AssumptionViolated", "MatchingResidualTooLarge",
+        "LevelNotFound", "DegeneracyUnresolved", "SeriesUnreliable",
     ),
     "params": (
         "WellSpec", "ReducedParams", "reduce", "bound_state_exists", "parse_spec",
@@ -45,9 +44,8 @@ _EXPORTS = {
         "delta_ledger", "perturbed_levels", "invert_ratio", "two_level_check",
     ),
     "wavefunc": (
-        "WavefunctionModel", "SingleWellModel", "assemble", "assemble_at_energy",
-        "evaluate", "derivative", "probabilities", "closed_form_probabilities",
-        "single_well_model", "superpose", "sample", "write_sample_csv",
+        "WavefunctionModel", "assemble", "assemble_at_energy", "evaluate",
+        "derivative", "probabilities", "sample", "write_sample_csv",
     ),
     "oracle": (
         "ShootResult", "OracleComparison", "shoot", "find_level", "compare",

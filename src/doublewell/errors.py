@@ -20,7 +20,6 @@ __all__ = [
     "PerturbationTooLarge",
     "EnergyOutOfBand",
     "MatchingResidualTooLarge",
-    "GridTooCoarse",
     "BadRange",
     "LevelNotFound",
     "DegeneracyUnresolved",
@@ -66,8 +65,9 @@ class ExcitedBelowZero(DoubleWellError, RuntimeError):
 class AssumptionViolated(DoubleWellError, RuntimeError):
     """The closed form does not apply to this input: a first-order
     correction epsilon exceeded the trust threshold 0.1, or a result left
-    the float64 range (a report value or an assembled wavefunction that
-    overflows, a half-splitting that underflows to 0)."""
+    the float64 range (an energy scale of ``params.reduce``, a report value
+    or an assembled wavefunction that overflows, a half-splitting that
+    underflows to 0)."""
 
 
 class NotSymmetric(DoubleWellError, ValueError):
@@ -88,11 +88,6 @@ class EnergyOutOfBand(DoubleWellError, ValueError):
 class MatchingResidualTooLarge(DoubleWellError, RuntimeError):
     """Assembled wavefunction pieces fail continuity beyond 1e-6 of the
     peak amplitude, signalling inconsistent inputs."""
-
-
-class GridTooCoarse(DoubleWellError, ValueError):
-    """A sampling grid resolves the shortest wavelength with fewer than 16
-    points per period."""
 
 
 class BadRange(DoubleWellError, ValueError):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields
 
-from .errors import EnergyOutOfBand, InvalidSpec
+from .errors import AssumptionViolated, EnergyOutOfBand, InvalidSpec
 
 __all__ = [
     "WellSpec",
@@ -125,15 +125,27 @@ class ReducedParams:
 
 
 def reduce(spec: WellSpec) -> ReducedParams:
-    """Compute all dimensionless parameters of the two wells."""
+    """Compute all dimensionless parameters of the two wells.
+
+    Raises :class:`AssumptionViolated` when an energy scale K_i leaves the
+    float64 range (overflows, or underflows to 0)."""
     w_m3 = spec.v_m4 - spec.v_m2
     w_m1 = spec.v_0 - spec.v_m2
     w_1 = spec.v_0 - spec.v_2
     w_3 = spec.v_4 - spec.v_2
-    scale = (math.pi * spec.hbar) ** 2 / (2.0 * spec.mass)
-    k_m2 = scale / spec.w_m2**2
-    k_0 = scale / spec.w_0**2
-    k_2 = scale / spec.w_2**2
+    try:
+        scale = (math.pi * spec.hbar) ** 2 / (2.0 * spec.mass)
+        k_m2 = scale / spec.w_m2**2
+        k_0 = scale / spec.w_0**2
+        k_2 = scale / spec.w_2**2
+    except (OverflowError, ZeroDivisionError):  # a square overflowed or underflowed to 0
+        scale = k_m2 = k_0 = k_2 = math.inf
+    if not (0.0 < min(scale, k_m2, k_0, k_2) and max(scale, k_m2, k_0, k_2) < math.inf):
+        raise AssumptionViolated(
+            f"an energy scale pi^2 hbar^2 / (2 m w^2) leaves the float64 range: "
+            f"hbar={spec.hbar!r}, mass={spec.mass!r}, "
+            f"w_m2={spec.w_m2!r}, w_0={spec.w_0!r}, w_2={spec.w_2!r}"
+        )
     alpha_m3 = math.sqrt(k_m2 / w_m3)
     alpha_m1 = math.sqrt(k_m2 / w_m1)
     alpha_1 = math.sqrt(k_2 / w_1)
@@ -257,6 +269,13 @@ def parse_spec(text: str) -> WellSpec:
 
 
 def load_spec(path: str) -> WellSpec:
-    """Read and parse a spec file."""
+    """Read and parse a spec file; one that is not UTF-8 raises
+    :class:`InvalidSpec` naming its first undecodable byte."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+        try:
+            text = fh.read()  # one decode of the whole file: exc.start is the file offset
+        except UnicodeDecodeError as exc:
+            raise InvalidSpec(
+                f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
+            ) from None
+    return parse_spec(text)

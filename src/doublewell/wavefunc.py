@@ -22,12 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, IO
+from typing import TYPE_CHECKING, IO
 
-from .errors import (
-    AssumptionViolated, BadRange, DomainError, GridTooCoarse, MatchingResidualTooLarge,
-)
-from .isolated import IsolatedWellSolution, derive_well, solve_y
+from .errors import AssumptionViolated, BadRange, DomainError, MatchingResidualTooLarge
 from .params import ReducedParams, WellSpec, wavenumbers
 from .tunneling import CoupledSolution, Parity
 
@@ -38,15 +35,11 @@ if TYPE_CHECKING:
 
 __all__ = [
     "WavefunctionModel",
-    "SingleWellModel",
     "assemble",
     "assemble_at_energy",
     "evaluate",
     "derivative",
     "probabilities",
-    "closed_form_probabilities",
-    "single_well_model",
-    "superpose",
     "sample",
     "write_sample_csv",
 ]
@@ -80,34 +73,6 @@ class WavefunctionModel:
     amp_0: float
     amp_2: float
     amp_4: float
-
-
-@dataclass(frozen=True, slots=True)
-class SingleWellModel:
-    """One well solved in isolation: three-region normalized state.
-
-    The barrier side continues as a pure decaying exponential to infinity
-    (the infinitely-thick-barrier limit).  ``side`` is "left" or "right";
-    ``x_outer``/``x_inner`` are the outer-wall and barrier boundaries.
-    """
-
-    side: str
-    energy: float
-    x_outer: float
-    x_inner: float
-    extremum: float
-    k: float
-    kappa_outer: float
-    kappa_barrier: float
-    amp: float
-    amp_outer: float
-    amp_barrier: float
-
-
-def _wavenumber(spec: WellSpec, energy: float, potential: float) -> float:
-    # For single_well_model only: an isolated level need not lie inside the
-    # two-well band that params.wavenumbers checks.
-    return math.sqrt(2.0 * spec.mass * abs(energy - potential)) / spec.hbar
 
 
 def _assemble_core(
@@ -196,29 +161,15 @@ _KINDS = {
 Piece = tuple[str, float, float, float]
 
 
-def _pieces(
-    model: WavefunctionModel | SingleWellModel,
-) -> tuple[tuple[float, ...], tuple[Piece, ...], bool]:
-    """Region table of a piecewise state: ``(edges, pieces, left_owned)``.
+def _pieces(model: WavefunctionModel) -> tuple[tuple[float, ...], tuple[Piece, ...]]:
+    """Region table of a doublet level: ``(edges, pieces)``.
 
-    ``edges`` are the boundaries between regions in increasing order;
+    ``edges`` are the four boundaries between regions in increasing order;
     ``pieces`` holds one (kind, amp, rate, origin) per region, one more than
-    there are edges.  A boundary belongs to the region on its right, or to
-    the one on its left when ``left_owned``.  The excited state's overall
-    minus sign on the two left regions is folded into their amplitudes.
+    there are edges.  A boundary belongs to the region on its right.  The
+    excited state's overall minus sign on the two left regions is folded
+    into their amplitudes.
     """
-    if isinstance(model, SingleWellModel):
-        if model.side == "left":
-            return (model.x_outer, model.x_inner), (
-                ("exp", model.amp_outer, model.kappa_outer, model.x_outer),
-                ("cos", model.amp, model.k, model.extremum),
-                ("exp", model.amp_barrier, -model.kappa_barrier, model.x_inner),
-            ), False
-        return (model.x_inner, model.x_outer), (
-            ("exp", model.amp_barrier, model.kappa_barrier, model.x_inner),
-            ("cos", model.amp, model.k, model.extremum),
-            ("exp", model.amp_outer, -model.kappa_outer, model.x_outer),
-        ), True
     excited = model.parity == Parity.EXCITED
     sign = -1.0 if excited else 1.0
     return (model.x_m3, model.x_m1, model.x_1, model.x_3), (
@@ -227,7 +178,7 @@ def _pieces(
         ("sinh" if excited else "cosh", model.amp_0, model.kappa_0, model.barrier_node),
         ("cos", model.amp_2, model.k_2, model.extremum_right),
         ("exp", model.amp_4, -model.kappa_4, model.x_3),
-    ), False
+    )
 
 
 def _piece(piece: Piece, x: float, slope: bool) -> float:
@@ -250,25 +201,26 @@ def _fill(piece: Piece, xs, out, slope: bool) -> None:
     out *= (sign * amp) * rate if slope else amp
 
 
-def _field(model: WavefunctionModel | SingleWellModel, x, slope: bool):
-    """psi, or dpsi/dx when ``slope``, of a piecewise state at a scalar or an
+def _field(model: WavefunctionModel, x, slope: bool):
+    """psi, or dpsi/dx when ``slope``, of a doublet level at a scalar or an
     array of positions of any shape, which is only read; NaN gives NaN.
-    Each region is one slice, written in place: a non-decreasing grid is
-    cut by one searchsorted; any other (NaN fails the order check) is
-    grouped by region with a stable radix sort of the region indices and
-    scattered back, NaN sorting past every edge into the last region."""
+    Each region is one slice, written in place, and a boundary belongs to
+    the region on its right: a non-decreasing grid is cut by one
+    searchsorted; any other (NaN fails the order check) is grouped by
+    region with a stable radix sort of the region indices and scattered
+    back, NaN sorting past every edge into the last region."""
     import numpy as np
 
     xs = np.asarray(x, dtype=float)
     points = xs.ravel()
-    edges, pieces, left_owned = _pieces(model)
+    edges, pieces = _pieces(model)
     order = None
     if (points[1:] >= points[:-1]).all():
         # A lone NaN passes the check, lands in the last region and stays NaN.
-        cuts = np.searchsorted(points, edges, side="right" if left_owned else "left")
+        cuts = np.searchsorted(points, edges, side="left")
         out = np.empty_like(points)
     else:
-        regions = np.searchsorted(edges, points, side="left" if left_owned else "right")
+        regions = np.searchsorted(edges, points, side="right")
         order = np.argsort(regions.astype(np.uint8), kind="stable")
         cuts = np.cumsum(np.bincount(regions, minlength=len(pieces)))[:-1]
         points = out = points[order]
@@ -298,7 +250,7 @@ def _boundary_pairs(
     model: WavefunctionModel,
 ) -> list[tuple[float, tuple[float, float], tuple[float, float]]]:
     """(boundary x, (value, slope) from the left region, same from the right)."""
-    edges, pieces, _ = _pieces(model)
+    edges, pieces = _pieces(model)
     return [
         (x, *[(_piece(p, x, False), _piece(p, x, True)) for p in (left, right)])
         for x, left, right in zip(edges, pieces, pieces[1:])
@@ -367,20 +319,19 @@ def assemble_at_energy(
     return _assemble_core(spec, reduced, parity, energy, r_left)
 
 
-def evaluate(model: WavefunctionModel | SingleWellModel, x):
-    """psi(x) of a doublet level or a single-well state; accepts a scalar or
-    an array of any shape.
+def evaluate(model: WavefunctionModel, x):
+    """psi(x) of a doublet level; accepts a scalar or an array of any shape.
 
     Each region is evaluated as one slice, in place in the result: a
     non-decreasing grid is cut into slices, any other grid is first grouped
     by region.  Region dispatch is half-open with each boundary belonging
-    to the region on its right (on its left for a right-well single state);
-    continuity makes the choice observationally irrelevant.
+    to the region on its right; continuity makes the choice
+    observationally irrelevant.
     """
     return _field(model, x, False)
 
 
-def derivative(model: WavefunctionModel | SingleWellModel, x):
+def derivative(model: WavefunctionModel, x):
     """d psi / dx at x; accepts a scalar or an array."""
     return _field(model, x, True)
 
@@ -388,7 +339,7 @@ def derivative(model: WavefunctionModel | SingleWellModel, x):
 def probabilities(model: WavefunctionModel) -> tuple[float, float]:
     """Exact analytic probability masses left and right of the barrier
     extremum.  For a normalized model the two sum to 1 up to rounding."""
-    edges, pieces, _ = _pieces(model)
+    edges, pieces = _pieces(model)
     node = model.barrier_node
     left = right = 0.0
     for a, b, piece in zip((-math.inf, *edges), (*edges, math.inf), pieces):
@@ -399,108 +350,13 @@ def probabilities(model: WavefunctionModel) -> tuple[float, float]:
     return left, right
 
 
-def closed_form_probabilities(
-    model: WavefunctionModel,
-    spec: WellSpec,
-    left_well: IsolatedWellSolution,
-    right_well: IsolatedWellSolution,
-) -> tuple[float, float]:
-    """Infinite-barrier closed form P_side = A^2 w / (2 U Y) per side.
-
-    Exact only in the decoupled limit, where it approaches
-    :func:`probabilities`; no report carries it.
-    """
-    p_left = 0.5 * model.amp_m2**2 * spec.w_m2 / (left_well.u_cap * left_well.y_cap)
-    p_right = 0.5 * model.amp_2**2 * spec.w_2 / (right_well.u_cap * right_well.y_cap)
-    return p_left, p_right
-
-
-def single_well_model(spec: WellSpec, reduced: ReducedParams, side: str) -> SingleWellModel:
-    """One well solved in isolation, normalized, barrier side continued.
-
-    ``side`` is "left" or "right".  The state is exactly continuous in
-    value and slope at both of its boundaries (the isolated solution is
-    exact), and has unit norm through the closed form A = sqrt(2 U Y / w).
-    """
-    if side == "left":
-        alpha_inner, alpha_outer, beta = reduced.alpha_m1, reduced.alpha_m3, reduced.beta_m1
-        v_well, v_outer, k_cap, width = spec.v_m2, spec.v_m4, reduced.k_m2, spec.w_m2
-        x_outer, x_inner = spec.x_m3, spec.x_m1
-    elif side == "right":
-        alpha_inner, alpha_outer, beta = reduced.alpha_1, reduced.alpha_3, reduced.beta_1
-        v_well, v_outer, k_cap, width = spec.v_2, spec.v_4, reduced.k_2, spec.w_2
-        x_outer, x_inner = spec.x_3, spec.x_1
-    else:
-        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-    y = solve_y(alpha_inner, alpha_outer)
-    well = derive_well(y, alpha_inner, alpha_outer, beta)
-    energy = v_well + k_cap * y * y
-    k = _wavenumber(spec, energy, v_well)
-    kappa_outer = _wavenumber(spec, energy, v_outer)
-    kappa_barrier = _wavenumber(spec, energy, spec.v_0)
-    amp = math.sqrt(2.0 * well.u_cap * y / width)
-    offset = (0.5 * math.pi - well.phi_outer) / k
-    extremum = x_outer + offset if side == "left" else x_outer - offset
-    return SingleWellModel(
-        side=side,
-        energy=energy,
-        x_outer=x_outer,
-        x_inner=x_inner,
-        extremum=extremum,
-        k=k,
-        kappa_outer=kappa_outer,
-        kappa_barrier=kappa_barrier,
-        amp=amp,
-        amp_outer=amp * well.s_outer,
-        amp_barrier=amp * well.s_inner,
-    )
-
-
-def superpose(
-    left_state: SingleWellModel,
-    right_state: SingleWellModel,
-    prob_left: float,
-    prob_right: float,
-    parity: Parity,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Two-level superposition of single-well states as a sampled function.
-
-    Returns a function of a caller-supplied grid evaluating
-
-        sqrt(P_L) psi_L + sqrt(P_R) psi_R          (ground)
-        -sqrt(P_R) psi_L + sqrt(P_L) psi_R         (excited)
-
-    with the ground-state localization probabilities in both cases.  The
-    returned function raises :class:`GridTooCoarse` when the grid resolves
-    the shortest wavelength 2 pi / max(k) with fewer than 16 points.
-    """
-    weight_left = math.sqrt(prob_left)
-    weight_right = math.sqrt(prob_right)
-    if parity == Parity.EXCITED:
-        weight_left, weight_right = -weight_right, weight_left
-    shortest_wavelength = 2.0 * math.pi / max(left_state.k, right_state.k)
-
-    def sampled(x: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        xs = np.asarray(x, dtype=float)
-        if xs.ndim != 1 or xs.size < 2:
-            raise GridTooCoarse("superposition sampling needs a 1-D grid of >= 2 points")
-        max_step = float(np.max(np.diff(xs)))
-        if max_step > shortest_wavelength / 16.0:
-            raise GridTooCoarse(
-                f"grid step {max_step!r} resolves the shortest wavelength "
-                f"{shortest_wavelength!r} with fewer than 16 samples per period"
-            )
-        return weight_left * evaluate(left_state, xs) + weight_right * evaluate(right_state, xs)
-
-    return sampled
-
-
 def sample(
     model: WavefunctionModel, x_min: float, x_max: float, n_points: int
 ) -> np.ndarray:
-    """Uniform endpoint-inclusive table of (x, psi, dpsi), shape (n, 3)."""
+    """Uniform endpoint-inclusive table of (x, psi, dpsi), shape (n, 3).
+
+    Raises :class:`BadRange` for a malformed range or point count, or one
+    too large to allocate."""
     if not (math.isfinite(x_min) and math.isfinite(x_max)) or not x_min < x_max:
         raise BadRange(f"need finite x_min < x_max, got {x_min!r}, {x_max!r}")
     try:
@@ -511,8 +367,11 @@ def sample(
         raise BadRange(f"need an integer n_points >= 2, got {n_points!r}")
     import numpy as np
 
-    xs = np.linspace(x_min, x_max, count)
-    return np.column_stack((xs, _field(model, xs, False), _field(model, xs, True)))
+    try:
+        xs = np.linspace(x_min, x_max, count)
+        return np.column_stack((xs, _field(model, xs, False), _field(model, xs, True)))
+    except MemoryError:
+        raise BadRange(f"cannot allocate a table of {count} points") from None
 
 
 # Rows per formatted block: bounds the text and the argument tuple held at

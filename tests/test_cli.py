@@ -129,6 +129,17 @@ class TestSolve:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["solve"], ["oracle"], ["perturb", "--v", "1"], ["sample", "--out", "o.csv"]],
+        ids=" ".join,
+    )
+    def test_spec_that_is_not_utf8_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "bin.spec"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: not UTF-8 text: byte 0xff at offset 0\n"
+
     def test_out_of_regime_spec_suggests_oracle(self, capsys, tmp_path):
         path = tmp_path / "thin.spec"
         path.write_text(spec_text(w_0=EXAMPLE_SPEC.w_2 / 10.0))
@@ -370,6 +381,16 @@ class TestSample:
         assert not out_path.exists()
         assert err.startswith("error: the wavefunction leaves the float64 range")
 
+    def test_unallocatable_point_count_exits_2(self, capsys, spec_file, tmp_path):
+        # 10**15 points is 7 PiB per column, beyond any 64-bit address space.
+        dest = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "sample", spec_file, "--points", str(10**15), "--out", str(dest)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot allocate a table of 1000000000000000 points")
+        assert not dest.exists()
+
     def test_unwritable_destination(self, capsys, spec_file, tmp_path):
         dest = tmp_path / "missing_dir" / "x.csv"
         code, _, err = run_cli(capsys, "sample", spec_file, "--out", str(dest))
@@ -423,7 +444,6 @@ EXPECTED_EXITS = {
     "DomainError": (2, ""),
     "PerturbationTooLarge": (2, ""),
     "EnergyOutOfBand": (2, ""),
-    "GridTooCoarse": (2, ""),
     "BadRange": (2, ""),
     "NoConvergence": (3, HINT_3),
     "ExcitedBelowZero": (3, HINT_3),

@@ -4,10 +4,9 @@
 and exact stdout of every report subcommand (``solve``, ``solve --verbose``
 with its stderr, ``perturb`` with each of its three flags, ``oracle``,
 ``paper-example``), the sha256 of both ``sample`` CSVs, and the float64
-bytes of ``evaluate``, ``derivative`` and ``probabilities`` of both levels
-and of ``evaluate`` of both single-well states, on a grid that includes
-every region edge and both of its ``nextafter`` neighbours.  A refactor
-that changes one ulp of any of these fails here.
+bytes of ``evaluate``, ``derivative`` and ``probabilities`` of both levels,
+on a grid that includes every region edge and both of its ``nextafter``
+neighbours.  A refactor that changes one ulp of any of these fails here.
 
 Regenerate the corpus only when an output is meant to change:
 
@@ -36,7 +35,6 @@ from doublewell import (
     evaluate,
     parse_spec,
     probabilities,
-    single_well_model,
     solve_double_well,
 )
 from doublewell.cli import main
@@ -96,8 +94,7 @@ def _grid(edges, centers, lo, hi) -> np.ndarray:
 
 
 def _fields(text: str) -> dict:
-    """evaluate/derivative/probabilities bytes of one spec's levels and
-    evaluate bytes of its single-well states."""
+    """evaluate/derivative/probabilities bytes of one spec's levels."""
     spec = parse_spec(text)
     result = solve_double_well(spec)
     fields = {}
@@ -115,15 +112,6 @@ def _fields(text: str) -> dict:
             "dpsi": _hex(derivative(model, xs)),
             "probabilities": _hex(probabilities(model)),
         }
-    for side in ("left", "right"):
-        state = single_well_model(spec, result.reduced, side)
-        xs = _grid(
-            (state.x_outer, state.x_inner),
-            (state.extremum,),
-            spec.x_m3 - 5.0 / state.kappa_outer,
-            spec.x_3 + 5.0 / state.kappa_outer,
-        )
-        fields[f"single_{side}"] = {"x": _hex(xs), "psi": _hex(evaluate(state, xs))}
     return fields
 
 

@@ -2,10 +2,13 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from doublewell import InvalidSpec, WellSpec, bound_state_exists, load_spec, parse_spec, reduce
+from doublewell import (
+    AssumptionViolated, InvalidSpec, WellSpec, bound_state_exists, load_spec, parse_spec, reduce,
+)
 from doublewell.params import wavenumbers
 from genspecs import EXAMPLE_SPEC, mixed_spec_batch
 
@@ -116,6 +119,15 @@ class TestReduce:
                      "gamma_m3", "gamma_m1", "gamma_1", "gamma_3"):
             assert getattr(red1, name) == pytest.approx(getattr(red0, name), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"w_0": 1e308}, {"w_m2": 1e-300}, {"hbar": 1e-200}],
+        ids=["square-overflows", "square-underflows", "scale-underflows"],
+    )
+    def test_energy_scale_outside_float64_is_refused(self, overrides):
+        with pytest.raises(AssumptionViolated, match="leaves the float64 range"):
+            reduce(replace(EXAMPLE_SPEC, **overrides))
+
 
 class TestWavenumbers:
     def test_example_at_the_mean_level(self, example_spec):
@@ -195,3 +207,11 @@ class TestParseSpec:
     def test_load_spec_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_spec(str(tmp_path / "nope.spec"))
+
+    def test_load_spec_not_utf8_raises_invalid_spec(self, tmp_path):
+        path = tmp_path / "bin.spec"
+        path.write_bytes(SPEC_TEXT.encode() + b"\xff\xfe\x00bad")
+        offset = len(SPEC_TEXT.encode())
+        want = f"bin.spec: not UTF-8 text: byte 0xff at offset {offset}$"
+        with pytest.raises(InvalidSpec, match=want):
+            load_spec(str(path))
