@@ -66,8 +66,8 @@ class AssumptionViolated(DoubleWellError, RuntimeError):
     """The closed form does not apply to this input: a first-order
     correction epsilon exceeded the trust threshold 0.1, or a result left
     the float64 range (an energy scale of ``params.reduce``, a report value
-    or an assembled wavefunction that overflows, a half-splitting that
-    underflows to 0)."""
+    or an assembled wavefunction that overflows, a coupling P or a
+    half-splitting that underflows to 0)."""
 
 
 class NotSymmetric(DoubleWellError, ValueError):

@@ -48,7 +48,7 @@ TOL = 1e-13
 MAX_ITER_Y = 50
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class IsolatedWellSolution:
     """Converged phase and derived constants of one well in isolation."""
 
@@ -66,7 +66,7 @@ class IsolatedWellSolution:
     c_coef: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BarrierCoupling:
     """Squared through-barrier coupling P of two isolated wells."""
 

@@ -34,7 +34,7 @@ from .wavefunc import assemble_at_energy, probabilities
 __all__ = ["ShootResult", "OracleComparison", "shoot", "find_level", "compare"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ShootResult:
     """One propagation: the energy, the phase Theta at the right wall (the
     interior node count is floor(Theta / pi)) and the decay residual
@@ -45,7 +45,7 @@ class ShootResult:
     residual: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class OracleComparison:
     """Approximation-vs-exact error report.
 

@@ -96,7 +96,7 @@ class WellSpec:
 SPEC_KEYS = tuple(f.name for f in fields(WellSpec))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ReducedParams:
     """Dimensionless reduction of a :class:`WellSpec`.
 

@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SymmetricBase:
     """Symmetric reference configuration for the perturbation formulas.
 
@@ -62,7 +62,7 @@ class SymmetricBase:
     min_depth: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PerturbedLevels:
     """Level energies and localization for one perturbation strength."""
 
@@ -76,7 +76,7 @@ class PerturbedLevels:
     prob_ratio: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DeltaLedger:
     """Relative first-order shifts delta_X / X per unit of the applied
     antisymmetric perturbation (left floor raised by delta_v, right floor

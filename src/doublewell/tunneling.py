@@ -53,7 +53,7 @@ class Parity(str, enum.Enum):
     EXCITED = "excited"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CoupledSolution:
     """One coupled level: fixed point, phase corrections, energy, localization."""
 
@@ -75,7 +75,7 @@ class CoupledSolution:
     prob_right: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SplittingResult:
     """Mean energy and half-splitting of the two coupled levels."""
 
@@ -85,7 +85,7 @@ class SplittingResult:
     e1: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DoubleWellResult:
     """Full approximation pipeline output for one spec."""
 
@@ -280,10 +280,19 @@ def coefficient_ratio(
 
 
 def solve_double_well(spec: WellSpec) -> DoubleWellResult:
-    """Full approximation pipeline: reduce, solve wells, couple, split."""
+    """Full approximation pipeline: reduce, solve wells, couple, split.
+
+    Raises :class:`AssumptionViolated` when the coupling P underflows to 0,
+    which would leave the two levels silently degenerate."""
     reduced_params = reduce(spec)
     left, right = solve_wells(reduced_params)
     coup = coupling(left, right)
+    if coup.p_cap == 0.0:
+        raise AssumptionViolated(
+            f"the coupling P = b_left b_right c_left c_right underflowed to 0 "
+            f"(b = {left.b_coef!r}, {right.b_coef!r}; c = {left.c_coef!r}, {right.c_coef!r}); "
+            "the splitting cannot be resolved in float64"
+        )
     solutions = {}
     for parity in (Parity.GROUND, Parity.EXCITED):
         r0, p_small = solve_r0(parity, left.a_coef, right.a_coef, coup.p_cap)

@@ -21,7 +21,7 @@ the analytic piecewise integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, IO
 
 from .errors import AssumptionViolated, BadRange, DomainError, MatchingResidualTooLarge
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class WavefunctionModel:
     """Normalized five-region wavefunction of one coupled level.
 
@@ -139,7 +139,8 @@ def _assemble_core(
             f"barrier of opacity kappa_0 w_0 = {kappa_0 * spec.w_0!r}"
         )
     scale = 1.0 / math.sqrt(norm)
-    model = replace(model, **{name: amp * scale for name, amp in amps.items()})
+    for name, amp in amps.items():
+        setattr(model, name, amp * scale)
     _check_matching(model)
     return model
 

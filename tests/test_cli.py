@@ -17,6 +17,9 @@ EXACT_E0 = 0.24999999823189692
 # The worked example behind 21 times its barrier with the right floors
 # lowered by 1e-12: p underflows to 0 and the wavefunction overflows float64.
 DETUNED_OPAQUE = {"w_0": 21.0 * EXAMPLE_SPEC.w_0, "v_2": -1e-12, "v_4": 1.0 - 1e-12}
+# The worked example with mass 1e300: the energy scales stay inside float64,
+# but the coupling P and the half-splitting underflow to 0.
+HEAVY = {"mass": 1e300}
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 # Resolves a declared entry point and calls it the way an installer's generated
@@ -509,6 +512,25 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
         assert (code, out) == (2, "")
         assert err.startswith("error: left well supports no bound level")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["solve"], "coupling P"),
+        (["oracle"], "coupling P"),
+        (["sample"], "coupling P"),
+        (["perturb", "--v", "1"], "half-splitting delta_e underflowed"),
+    ], ids=["solve", "oracle", "sample", "perturb"])
+    def test_underflowed_coupling_exits_3(self, capsys, tmp_path, argv, message):
+        # A zero coupling must not reach coefficient_ratio, where it divides
+        # by zero (exit 1).
+        path = tmp_path / "heavy.spec"
+        path.write_text(spec_text(**HEAVY))
+        csv = tmp_path / "psi.csv"
+        extra = ["--out", str(csv)] if argv[0] == "sample" else []
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:], *extra)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: the {message}")
+        assert "underflowed to 0" in err
+        assert not csv.exists()
 
 
 class TestInstalledEntryPoints:

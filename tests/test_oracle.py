@@ -548,6 +548,10 @@ class TestCompare:
         with pytest.raises(AssumptionViolated, match="float64 range"):
             compare(spec)
 
+    def test_underflowed_coupling_is_refused(self, example_spec):
+        with pytest.raises(AssumptionViolated, match="coupling P .* underflowed to 0"):
+            compare(replace(example_spec, mass=1e300))
+
     def test_example_errors_are_small(self, example_spec):
         report = compare(example_spec)
         assert report.err_e0 <= 1e-9

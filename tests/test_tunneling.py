@@ -234,6 +234,12 @@ class TestRegimeGuards:
         with pytest.raises(AssumptionViolated):
             solve_double_well(spec)
 
+    def test_underflowed_coupling_raises(self, example_spec):
+        # The energy scales stay inside float64, but P = b b c c underflows
+        # to 0, which would leave the levels degenerate with delta_e = 0.
+        with pytest.raises(AssumptionViolated, match="coupling P .* underflowed to 0"):
+            solve_double_well(replace(example_spec, mass=1e300))
+
     def test_unbound_well_raises(self, example_spec):
         # a shallow inner step with a tall outer wall leaves the narrow
         # right well with no phase root while the wide left well stays bound
