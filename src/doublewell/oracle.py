@@ -14,8 +14,10 @@ Theta crosses (n + 3/4) pi and it has n interior nodes.
 Each level is one bracket, judged by the phase alone: grown outward from
 the closed-form level when :func:`compare` passes it as a guess, else taken
 between the band ends.  Its trial energies come from Muller steps on the
-smooth decay residual u' + kappa_4 u, safeguarded by bisection: about 15
-shoots per :func:`compare` (about 50 from the band ends).
+smooth decay residual u' + kappa_4 u, safeguarded by bisection.  The
+resolution rule then reuses the shots that opened the bracket wherever
+they settle it: about 12 shoots per :func:`compare` (about 48 from the
+band ends).
 
 Used to quantify the error of the closed-form approximation via
 :func:`compare`.
@@ -197,10 +199,10 @@ def find_level(
 
     A ``guess`` strictly inside the band (inset by 1e-9 of its width) only
     decides where the bracket starts: shots at guess -+ h, widened sixteen
-    times per step until they straddle the crossing (about 7 shoots per
+    times per step until they straddle the crossing (about 6 shoots per
     level from a closed-form guess).  Any other guess (NaN, infinite or
     outside the band), or one whose widening fails at a band end, takes
-    the band ends as the bracket (about 25 shoots per level).  Either way
+    the band ends as the bracket (about 24 shoots per level).  Either way
     the level is the same crossing, to ``tol_rel``.  A bracket inside the
     band implies the band-end bracket, so both refuse the same inputs with
     :class:`LevelNotFound`.
@@ -211,7 +213,11 @@ def find_level(
     doublet split by less than that cannot be separated at this tolerance.
     The root lies within half that tolerance of the crossing, so a
     neighbour closer than half of it is always refused and one farther
-    than 1.5 times it never is, whichever bracket was refined.
+    than 1.5 times it never is, whichever bracket was refined.  Theta only
+    rises, so a shot that opened the bracket at or beyond root -+
+    ``tol_rel`` |root|, short of the neighbour's target, settles its side
+    with no new shot and the same verdict; from a closed-form guess both
+    sides are usually settled so.
 
     Raises :class:`DomainError` before any shoot unless ``tol_rel`` is
     finite with 0 <= tol_rel < 1; :class:`LevelNotFound` when a well binds
@@ -239,12 +245,18 @@ def find_level(
             f"the {nodes}-node level's phase target {target!r} lies outside the band-end "
             f"phases [{below.phase!r}, {above.phase!r})"
         )
-    below, above = _refine(spec, below, above, target, tol_rel)
-    root = 0.5 * (below.energy + above.energy)
+    low, high = _refine(spec, below, above, target, tol_rel)
+    root = 0.5 * (low.energy + high.energy)
     tol_abs = tol_rel * abs(root) if root != 0.0 else tol_rel * (hi - lo)
-    if (
-        shoot(spec, max(root - tol_abs, bottom)).phase <= target - math.pi
-        or shoot(spec, min(root + tol_abs, top)).phase > target + math.pi
+    # Theta rises, so an opening bracket end at or beyond root -+ tol_abs
+    # on the near side of the neighbour's target settles that side unshot.
+    check_lo, check_hi = max(root - tol_abs, bottom), min(root + tol_abs, top)
+    if not (
+        (below.energy <= check_lo and below.phase > target - math.pi)
+        or shoot(spec, check_lo).phase > target - math.pi
+    ) or not (
+        (above.energy >= check_hi and above.phase <= target + math.pi)
+        or shoot(spec, check_hi).phase <= target + math.pi
     ):
         raise DegeneracyUnresolved(
             f"a neighbouring level lies within tol_rel={tol_rel!r} of the {nodes}-node "

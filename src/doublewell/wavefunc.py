@@ -182,12 +182,12 @@ def _pieces(model: WavefunctionModel) -> tuple[tuple[float, ...], tuple[Piece, .
     )
 
 
-def _piece(piece: Piece, x: float, slope: bool) -> float:
-    """One piece's psi, or dpsi/dx when ``slope``, at one float x, in math."""
+def _piece(piece: Piece, x: float) -> tuple[float, float]:
+    """One piece's (psi, dpsi/dx) at one float x, in math."""
     kind, amp, rate, origin = piece
     f, g, sign, _ = _KINDS[kind]
     t = (x - origin) * rate
-    return (sign * amp) * rate * getattr(math, g)(t) if slope else amp * getattr(math, f)(t)
+    return amp * getattr(math, f)(t), (sign * amp) * rate * getattr(math, g)(t)
 
 
 def _fill(piece: Piece, xs, out, slope: bool) -> None:
@@ -253,7 +253,7 @@ def _boundary_pairs(
     """(boundary x, (value, slope) from the left region, same from the right)."""
     edges, pieces = _pieces(model)
     return [
-        (x, *[(_piece(p, x, False), _piece(p, x, True)) for p in (left, right)])
+        (x, _piece(left, x), _piece(right, x))
         for x, left, right in zip(edges, pieces, pieces[1:])
     ]
 
