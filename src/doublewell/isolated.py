@@ -223,39 +223,37 @@ def derive_well(
     t_inner = s_inner / c_inner
     t_outer = s_outer / c_outer
     u_cap = math.pi / (t_outer + t_inner + math.pi * y)
+    a_coef = math.pi * c_inner / beta
+    b_coef = math.pi * s_inner * t_inner / beta
+    c_coef = (2.0 / math.pi) * s_inner * c_inner * u_cap
     return IsolatedWellSolution(
-        y_cap=y,
-        s_outer=s_outer,
-        s_inner=s_inner,
-        phi_outer=math.asin(s_outer),
-        phi_inner=math.asin(s_inner),
-        c_inner=c_inner,
-        t_outer=t_outer,
-        t_inner=t_inner,
-        u_cap=u_cap,
-        a_coef=math.pi * c_inner / beta,
-        b_coef=math.pi * s_inner * t_inner / beta,
-        c_coef=(2.0 / math.pi) * s_inner * c_inner * u_cap,
+        y, s_outer, s_inner, math.asin(s_outer), math.asin(s_inner), c_inner,
+        t_outer, t_inner, u_cap, a_coef, b_coef, c_coef,
     )
 
 
 def coupling(left: IsolatedWellSolution, right: IsolatedWellSolution) -> BarrierCoupling:
     """Through-barrier coupling P = b_left b_right c_left c_right."""
-    return BarrierCoupling(
-        p_cap=left.b_coef * right.b_coef * left.c_coef * right.c_coef
-    )
+    return BarrierCoupling(left.b_coef * right.b_coef * left.c_coef * right.c_coef)
 
 
 def solve_wells(reduced: ReducedParams) -> tuple[IsolatedWellSolution, IsolatedWellSolution]:
     """Solve both wells of a reduced spec in isolation; :class:`DomainError`
-    names the first well, left before right, that binds no level."""
+    names the first well, left before right, that binds no level.
+
+    A mirror-image right well (the same alphas as the left) reuses the
+    left phase Y, the same root ``solve_y`` would return, instead of
+    solving it again; each well still gets its own record."""
     unbound = first_unbound_well(reduced)
     if unbound:
         raise DomainError(
             "{} well supports no bound level (alpha_inner={!r}, alpha_outer={!r})".format(*unbound)
         )
-    y_left = solve_y(reduced.alpha_m1, reduced.alpha_m3)
-    y_right = solve_y(reduced.alpha_1, reduced.alpha_3)
-    left = derive_well(y_left, reduced.alpha_m1, reduced.alpha_m3, reduced.beta_m1)
-    right = derive_well(y_right, reduced.alpha_1, reduced.alpha_3, reduced.beta_1)
+    alpha_m1, alpha_m3 = reduced.alpha_m1, reduced.alpha_m3
+    alpha_1, alpha_3 = reduced.alpha_1, reduced.alpha_3
+    y_left = solve_y(alpha_m1, alpha_m3)
+    mirror = alpha_1 == alpha_m1 and alpha_3 == alpha_m3
+    y_right = y_left if mirror else solve_y(alpha_1, alpha_3)
+    left = derive_well(y_left, alpha_m1, alpha_m3, reduced.beta_m1)
+    right = derive_well(y_right, alpha_1, alpha_3, reduced.beta_1)
     return left, right

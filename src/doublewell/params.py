@@ -154,24 +154,14 @@ def reduce(spec: WellSpec) -> ReducedParams:
     beta_1 = math.sqrt(k_0 / w_1)
     denom_left = math.pi + alpha_m1 + alpha_m3
     denom_right = math.pi + alpha_1 + alpha_3
+    gamma_m3 = math.pi * alpha_m3 / denom_left
+    gamma_m1 = math.pi * alpha_m1 / denom_left
+    gamma_1 = math.pi * alpha_1 / denom_right
+    gamma_3 = math.pi * alpha_3 / denom_right
+    # Positional, in field order: keywords cost a dict per call.
     return ReducedParams(
-        w_m3=w_m3,
-        w_m1=w_m1,
-        w_1=w_1,
-        w_3=w_3,
-        k_m2=k_m2,
-        k_0=k_0,
-        k_2=k_2,
-        alpha_m3=alpha_m3,
-        alpha_m1=alpha_m1,
-        alpha_1=alpha_1,
-        alpha_3=alpha_3,
-        beta_m1=beta_m1,
-        beta_1=beta_1,
-        gamma_m3=math.pi * alpha_m3 / denom_left,
-        gamma_m1=math.pi * alpha_m1 / denom_left,
-        gamma_1=math.pi * alpha_1 / denom_right,
-        gamma_3=math.pi * alpha_3 / denom_right,
+        w_m3, w_m1, w_1, w_3, k_m2, k_0, k_2, alpha_m3, alpha_m1, alpha_1, alpha_3,
+        beta_m1, beta_1, gamma_m3, gamma_m1, gamma_1, gamma_3,
     )
 
 

@@ -144,18 +144,10 @@ def symmetric_base(spec: WellSpec) -> SymmetricBase:
         + spec.v_2
         + reduced_params.k_2 * right.y_cap**2
     )
-    return SymmetricBase(
-        a_sym=a_sym,
-        e_bar=e_bar,
-        delta_e=delta_e,
-        f_coef=f_coef,
-        g_coef=g_coef,
-        p_small=p_small,
-        wells=(left, right),
-        min_depth=min(
-            reduced_params.w_m3, reduced_params.w_m1, reduced_params.w_1, reduced_params.w_3
-        ),
+    min_depth = min(
+        reduced_params.w_m3, reduced_params.w_m1, reduced_params.w_1, reduced_params.w_3
     )
+    return SymmetricBase(a_sym, e_bar, delta_e, f_coef, g_coef, p_small, (left, right), min_depth)
 
 
 def _require_small(delta_v: float, min_depth: float) -> None:
@@ -207,8 +199,7 @@ def delta_ledger(
         right, reduced.w_1, reduced.w_3, -1.0, delta_v
     )
     return DeltaLedger(
-        alpha_m3=alpha_m3, alpha_m1=alpha_m1, alpha_1=alpha_1, alpha_3=alpha_3, y_m2=y_m2,
-        y_2=y_2, s_m3=s_m3, s_m1=s_m1, s_1=s_1, s_3=s_3, a_m1=a_m1, a_1=a_1,
+        alpha_m3, alpha_m1, alpha_1, alpha_3, y_m2, y_2, s_m3, s_m1, s_1, s_3, a_m1, a_1
     )
 
 
@@ -221,16 +212,12 @@ def perturbed_levels(base: SymmetricBase, delta_v: float) -> PerturbedLevels:
     drift = base.f_coef * v
     # (sq - z)(sq + z) = 1 exactly, so the ratio has the stable square form.
     ratio = (sq + z) ** 2 if z >= 0.0 else 1.0 / (sq - z) ** 2
-    return PerturbedLevels(
-        v_ratio=v,
-        delta_v=delta_v,
-        e_left=base.e_bar + base.delta_e * (drift + z),
-        e_right=base.e_bar + base.delta_e * (drift - z),
-        e0=base.e_bar + base.delta_e * (drift - sq),
-        e1=base.e_bar + base.delta_e * (drift + sq),
-        z_asym=z,
-        prob_ratio=ratio,
-    )
+    e_bar, delta_e = base.e_bar, base.delta_e
+    e_left = e_bar + delta_e * (drift + z)
+    e_right = e_bar + delta_e * (drift - z)
+    e0 = e_bar + delta_e * (drift - sq)
+    e1 = e_bar + delta_e * (drift + sq)
+    return PerturbedLevels(v, delta_v, e_left, e_right, e0, e1, z, ratio)
 
 
 def invert_ratio(base: SymmetricBase, prob_ratio: float) -> float:

@@ -53,6 +53,10 @@ class Parity(str, enum.Enum):
     EXCITED = "excited"
 
 
+# Read once here: each Parity.X lookup is slow on Python 3.11.
+_PARITIES = (Parity.GROUND, Parity.EXCITED)
+
+
 @dataclass(slots=True)
 class CoupledSolution:
     """One coupled level: fixed point, phase corrections, energy, localization."""
@@ -108,6 +112,7 @@ def solve_r0(parity: Parity, a_left: float, a_right: float, p_cap: float) -> tup
     steps.  The returned pair is finalized as p = P e^{-2 r_last},
     r0 = mean + sqrt(diff^2 + p), making the fixed-point residual evaluate
     to exactly zero in floating point.
+    The parity is read once, as its sign, which the loop tests.
     Raises :class:`ExcitedBelowZero` when the antisymmetric fixed point
     collapses to r0 <= 0, and :class:`NoConvergence` when ``MAX_ITER_R``
     steps do not settle.
@@ -116,15 +121,17 @@ def solve_r0(parity: Parity, a_left: float, a_right: float, p_cap: float) -> tup
         raise DomainError(f"coupling p_cap must be >= 0, got {p_cap!r}")
     mean = 0.5 * (a_left + a_right)
     diff = 0.5 * (a_right - a_left)
-    sign = 1.0 if parity == Parity.GROUND else -1.0
-    r = max(a_left, a_right) if parity == Parity.GROUND else min(a_left, a_right)
-    if parity == Parity.EXCITED and r <= 0.0:
-        raise ExcitedBelowZero(f"antisymmetric fixed point start {r!r} <= 0")
+    if parity == Parity.GROUND:
+        sign, r = 1.0, max(a_left, a_right)
+    else:
+        sign, r = -1.0, min(a_left, a_right)
+        if r <= 0.0:
+            raise ExcitedBelowZero(f"antisymmetric fixed point start {r!r} <= 0")
     r_next = r
     for _ in range(MAX_ITER_R):
         p = p_cap * math.exp(-2.0 * r)
         r_next = mean + sign * math.sqrt(diff * diff + p)
-        if parity == Parity.EXCITED and r_next <= 0.0:
+        if sign < 0.0 and r_next <= 0.0:
             raise ExcitedBelowZero(
                 f"antisymmetric fixed point fell to {r_next!r} <= 0: "
                 "barrier too weak for a distinct upper level"
@@ -221,23 +228,10 @@ def correct_energy(
     else:
         z = 0.0 if d == 0.0 else math.copysign(math.inf, d)
     prob_left, prob_right = _probability_split(s * z)
+    # Positional, in field order: keywords cost a dict per call.
     return CoupledSolution(
-        parity=parity,
-        r0=r0,
-        p_small=p_small,
-        eps_left=eps_left,
-        eps_right=eps_right,
-        y_left=y_left,
-        y_right=y_right,
-        r_left=r_left,
-        r_right=r_right,
-        energy_left_estimate=energy_left,
-        energy_right_estimate=energy_right,
-        energy=energy,
-        z_asym=z,
-        r_asym=math.asinh(z),
-        prob_left=prob_left,
-        prob_right=prob_right,
+        parity, r0, p_small, eps_left, eps_right, y_left, y_right, r_left, r_right,
+        energy_left, energy_right, energy, z, math.asinh(z), prob_left, prob_right,
     )
 
 
@@ -245,9 +239,7 @@ def splitting(ground: CoupledSolution, excited: CoupledSolution) -> SplittingRes
     """Mean energy and half-splitting of the two coupled levels."""
     e0 = ground.energy
     e1 = excited.energy
-    return SplittingResult(
-        e_bar=0.5 * (e0 + e1), delta_e=0.5 * (e1 - e0), e0=e0, e1=e1
-    )
+    return SplittingResult(0.5 * (e0 + e1), 0.5 * (e1 - e0), e0, e1)
 
 
 def coefficient_ratio(
@@ -293,19 +285,11 @@ def solve_double_well(spec: WellSpec) -> DoubleWellResult:
             f"(b = {left.b_coef!r}, {right.b_coef!r}; c = {left.c_coef!r}, {right.c_coef!r}); "
             "the splitting cannot be resolved in float64"
         )
-    solutions = {}
-    for parity in (Parity.GROUND, Parity.EXCITED):
+    levels = []
+    for parity in _PARITIES:
         r0, p_small = solve_r0(parity, left.a_coef, right.a_coef, coup.p_cap)
-        solutions[parity] = correct_energy(
-            parity, left, right, r0, p_small, reduced_params, spec
-        )
+        levels.append(correct_energy(parity, left, right, r0, p_small, reduced_params, spec))
+    ground, excited = levels
     return DoubleWellResult(
-        spec=spec,
-        reduced=reduced_params,
-        left=left,
-        right=right,
-        coupling=coup,
-        ground=solutions[Parity.GROUND],
-        excited=solutions[Parity.EXCITED],
-        splitting=splitting(solutions[Parity.GROUND], solutions[Parity.EXCITED]),
+        spec, reduced_params, left, right, coup, ground, excited, splitting(ground, excited)
     )

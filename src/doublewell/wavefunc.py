@@ -81,9 +81,15 @@ def _assemble_core(
     parity: Parity,
     energy: float,
     r_left: float,
+    waves: tuple[float, float, float, float, float],
 ) -> WavefunctionModel:
-    excited = parity == Parity.EXCITED
-    kappa_m4, k_m2, kappa_0, k_2, kappa_4 = wavenumbers(spec, energy)
+    """Normalized model of a level at ``energy`` whose barrier extremum
+    (node, when excited) lies ``r_left / kappa_0`` past the left barrier
+    edge; ``waves`` are the :func:`wavenumbers` at ``energy``, which the
+    caller has already computed.  The parity is read once; the model is
+    built positionally and its five amplitudes are scaled in place."""
+    kappa_m4, k_m2, kappa_0, k_2, kappa_4 = waves
+    x_m3, x_m1, x_1, x_3 = spec.x_m3, spec.x_m1, spec.x_1, spec.x_3
     y_left = k_m2 * spec.w_m2 / math.pi
     y_right = k_2 * spec.w_2 / math.pi
     s_m3 = reduced.alpha_m3 * y_left
@@ -94,13 +100,13 @@ def _assemble_core(
     phase_m1 = math.pi - math.pi * y_left - phase_m3
     phase_3 = math.asin(s_3)
     phase_1 = math.pi - math.pi * y_right - phase_3
-    extremum_left = spec.x_m3 + (0.5 * math.pi - phase_m3) / k_m2
-    extremum_right = spec.x_3 - (0.5 * math.pi - phase_3) / k_2
-    barrier_node = spec.x_m1 + r_left / kappa_0
-    if not (spec.x_m1 < barrier_node < spec.x_1):
+    extremum_left = x_m3 + (0.5 * math.pi - phase_m3) / k_m2
+    extremum_right = x_3 - (0.5 * math.pi - phase_3) / k_2
+    barrier_node = x_m1 + r_left / kappa_0
+    if not (x_m1 < barrier_node < x_1):
         raise MatchingResidualTooLarge(
             f"barrier extremum {barrier_node!r} falls outside the barrier "
-            f"({spec.x_m1!r}, {spec.x_1!r}); inputs are inconsistent"
+            f"({x_m1!r}, {x_1!r}); inputs are inconsistent"
         )
     sin_m1 = math.sin(phase_m1)
     sin_1 = math.sin(phase_1)
@@ -108,27 +114,15 @@ def _assemble_core(
         raise DomainError(
             f"inner phase out of range: phase_m1={phase_m1!r}, phase_1={phase_1!r}"
         )
-    hyp = math.sinh if excited else math.cosh
+    hyp = math.sinh if parity == Parity.EXCITED else math.cosh
     try:
         amp_m2 = hyp(r_left) / sin_m1
         amp_2 = hyp(kappa_0 * spec.w_0 - r_left) / sin_1
-        amps = dict(amp_m4=amp_m2 * s_m3, amp_m2=amp_m2, amp_0=1.0, amp_2=amp_2, amp_4=amp_2 * s_3)
+        # Positional, in field order: keywords cost a dict per call.
         model = WavefunctionModel(
-            parity=parity,
-            energy=energy,
-            x_m3=spec.x_m3,
-            x_m1=spec.x_m1,
-            x_1=spec.x_1,
-            x_3=spec.x_3,
-            extremum_left=extremum_left,
-            extremum_right=extremum_right,
-            barrier_node=barrier_node,
-            kappa_m4=kappa_m4,
-            kappa_0=kappa_0,
-            kappa_4=kappa_4,
-            k_m2=k_m2,
-            k_2=k_2,
-            **amps,
+            parity, energy, x_m3, x_m1, x_1, x_3, extremum_left, extremum_right,
+            barrier_node, kappa_m4, kappa_0, kappa_4, k_m2, k_2,
+            amp_m2 * s_m3, amp_m2, 1.0, amp_2, amp_2 * s_3,
         )
         norm = sum(probabilities(model))
     except OverflowError:
@@ -139,8 +133,11 @@ def _assemble_core(
             f"barrier of opacity kappa_0 w_0 = {kappa_0 * spec.w_0!r}"
         )
     scale = 1.0 / math.sqrt(norm)
-    for name, amp in amps.items():
-        setattr(model, name, amp * scale)
+    model.amp_m4 *= scale
+    model.amp_m2 *= scale
+    model.amp_0 *= scale
+    model.amp_2 *= scale
+    model.amp_4 *= scale
     _check_matching(model)
     return model
 
@@ -280,19 +277,20 @@ def assemble(
     spec: WellSpec, reduced: ReducedParams, solution: CoupledSolution
 ) -> WavefunctionModel:
     """Explicit normalized wavefunction of a coupled solution."""
+    energy = solution.energy
     return _assemble_core(
-        spec, reduced, solution.parity, solution.energy, solution.r_left
+        spec, reduced, solution.parity, energy, solution.r_left, wavenumbers(spec, energy)
     )
 
 
-def _tail_ratio(parity: Parity, kappa_out: float, k: float, width: float, kappa_0: float) -> float:
+def _tail_ratio(ground: bool, kappa_out: float, k: float, width: float, kappa_0: float) -> float:
     """tanh of kappa_0 times the distance from a barrier edge to the
-    barrier's extremum (ground) or node (excited), read from the decaying
-    outer tail carried through the well on that side."""
+    barrier's extremum (``ground``) or node (excited), read from the
+    decaying outer tail carried through the well on that side."""
     theta = k * width
     u = math.cos(theta) + (kappa_out / k) * math.sin(theta)
     u_prime = -k * math.sin(theta) + kappa_out * math.cos(theta)
-    return -u_prime / (kappa_0 * u) if parity == Parity.GROUND else -kappa_0 * u / u_prime
+    return -u_prime / (kappa_0 * u) if ground else -kappa_0 * u / u_prime
 
 
 def assemble_at_energy(
@@ -308,16 +306,18 @@ def assemble_at_energy(
     admits no interior barrier extremum (``energy`` is not an eigenvalue
     of ``parity``, or its state has no extremum in the barrier).
     """
-    kappa_m4, k_m2, kappa_0, k_2, kappa_4 = wavenumbers(spec, energy)
-    rho_left = _tail_ratio(parity, kappa_m4, k_m2, spec.w_m2, kappa_0)
-    rho_right = _tail_ratio(parity, kappa_4, k_2, spec.w_2, kappa_0)
+    waves = wavenumbers(spec, energy)
+    kappa_m4, k_m2, kappa_0, k_2, kappa_4 = waves
+    ground = parity == Parity.GROUND
+    rho_left = _tail_ratio(ground, kappa_m4, k_m2, spec.w_m2, kappa_0)
+    rho_right = _tail_ratio(ground, kappa_4, k_2, spec.w_2, kappa_0)
     # |ratio| >= 1 has no extremum at all; NaN puts it outside the barrier.
     if abs(rho_right) < abs(rho_left) or not -1.0 < rho_left < 1.0:
         r_right = math.atanh(rho_right) if -1.0 < rho_right < 1.0 else math.nan
         r_left = kappa_0 * spec.w_0 - r_right
     else:
         r_left = math.atanh(rho_left)
-    return _assemble_core(spec, reduced, parity, energy, r_left)
+    return _assemble_core(spec, reduced, parity, energy, r_left, waves)
 
 
 def evaluate(model: WavefunctionModel, x):

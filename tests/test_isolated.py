@@ -16,10 +16,12 @@ from doublewell import (
     newton_step,
     reduce,
     series_y,
+    solve_double_well,
     solve_wells,
     solve_y,
 )
-from genspecs import EXAMPLE_SPEC, mixed_spec_batch
+from doublewell import isolated
+from genspecs import EXAMPLE_SPEC, mixed_spec_batch, symmetric_spec
 from oracles import bisect_phase_root, example_constants
 
 
@@ -199,3 +201,32 @@ class TestCoupling:
         fake = derive_well(1.0, 0.0, 0.0, red.beta_m1)
         assert fake.s_inner == 0.0
         assert coupling(left, fake).p_cap == 0.0
+
+
+class TestSolveWells:
+    @pytest.mark.parametrize(
+        "spec, solves",
+        [
+            (EXAMPLE_SPEC, 1),
+            (symmetric_spec(a_target=20.0, x_m3=-1.5), 1),
+            (symmetric_spec(a_target=20.0, detune=1e-3), 2),
+        ],
+        ids=["example", "mirror", "floor-detuned"],
+    )
+    def test_mirror_image_well_is_solved_once(self, monkeypatch, spec, solves):
+        calls = []
+
+        def counting_solve_y(alpha_inner, alpha_outer):
+            calls.append((alpha_inner, alpha_outer))
+            return solve_y(alpha_inner, alpha_outer)
+
+        monkeypatch.setattr(isolated, "solve_y", counting_solve_y)
+        result = solve_double_well(spec)
+        assert len(calls) == solves
+        red = result.reduced
+        expected = derive_well(
+            solve_y(red.alpha_1, red.alpha_3), red.alpha_1, red.alpha_3, red.beta_1
+        )
+        for name in expected.__slots__:
+            assert getattr(result.right, name).hex() == getattr(expected, name).hex(), name
+        assert result.left is not result.right
