@@ -70,8 +70,7 @@ def _section(obj, names: Sequence[str] | None = None) -> dict:
         names = [f.name for f in fields(obj)]
     section = {}
     for name in names:
-        value = getattr(obj, name)
-        section[RENAMED.get(name, name)] = value.value if isinstance(value, Parity) else value
+        section[RENAMED.get(name, name)] = getattr(obj, name)
     return section
 
 
@@ -208,15 +207,14 @@ def _example_rows() -> list[tuple[str, float, float, float, str]]:
     ground, excited = result.ground, result.excited
 
     alpha = reduced.alpha_m1
-    gamma = reduced.gamma_m1
-    y1 = newton_initial(alpha, alpha, gamma, gamma)
+    y1 = newton_initial(alpha, alpha)
     y2 = newton_step(y1, alpha, alpha)
     y3 = newton_step(y2, alpha, alpha)
-    y_series = series_y(alpha, alpha, gamma, gamma)
+    y_series = series_y(alpha, alpha)
 
     e_bar = base.e_bar
     rows = [
-        ("gamma", gamma, 0.507626296843, 1e-10, "rel"),
+        ("gamma", reduced.gamma_m1, 0.507626296843, 1e-10, "rel"),
         ("S_iter_1", alpha * y1, 0.500580902268, 1e-9, "rel"),
         ("S_iter_2", alpha * y2, 0.500000040032, 1e-9, "rel"),
         ("S_iter_3", alpha * y3, 0.5, 1e-9, "rel"),

@@ -28,7 +28,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError, NoConvergence, SeriesUnreliable
-from .params import ReducedParams, first_unbound_well
+from .params import ReducedParams, bound_state_exists
 
 __all__ = [
     "IsolatedWellSolution",
@@ -73,20 +73,20 @@ class BarrierCoupling:
     p_cap: float
 
 
-def newton_initial(
-    alpha_inner: float, alpha_outer: float, gamma_inner: float, gamma_outer: float
-) -> float:
+def newton_initial(alpha_inner: float, alpha_outer: float) -> float:
     """Starting guess for the Newton iteration on the phase equation.
 
     Uses the leading series estimate
 
         Y ~ [pi / (pi + a_i + a_o)] * [1 - (g_i^3 + g_o^3) / (6 pi)]
 
-    and falls back to just below min(1, 1/alpha_max) whenever that estimate
-    leaves the admissible interval (both arcsine arguments must stay <= 1
-    and Y <= 1).
+    with g = pi a / (pi + a_i + a_o) per edge, and falls back to just below
+    min(1, 1/alpha_max) whenever that estimate leaves the admissible
+    interval (both arcsine arguments must stay <= 1 and Y <= 1).
     """
-    estimate = (math.pi / (math.pi + alpha_inner + alpha_outer)) * (
+    denom = math.pi + alpha_inner + alpha_outer
+    gamma_inner, gamma_outer = math.pi * alpha_inner / denom, math.pi * alpha_outer / denom
+    estimate = (math.pi / denom) * (
         1.0 - (gamma_inner**3 + gamma_outer**3) / (6.0 * math.pi)
     )
     hi = max(alpha_inner, alpha_outer)
@@ -132,13 +132,7 @@ def solve_y(alpha_inner: float, alpha_outer: float) -> float:
         return 1.0
     hi = max(alpha_inner, alpha_outer)
     upper = min(1.0, 1.0 / hi) if hi > 0.0 else 1.0
-    denom = math.pi + alpha_inner + alpha_outer
-    y = newton_initial(
-        alpha_inner,
-        alpha_outer,
-        math.pi * alpha_inner / denom,
-        math.pi * alpha_outer / denom,
-    )
+    y = newton_initial(alpha_inner, alpha_outer)
     last_residual = math.inf
     for _iteration in range(MAX_ITER_Y):
         y_next = newton_step(y, alpha_inner, alpha_outer)
@@ -165,13 +159,11 @@ def solve_y(alpha_inner: float, alpha_outer: float) -> float:
     )
 
 
-def series_y(
-    alpha_inner: float, alpha_outer: float, gamma_inner: float, gamma_outer: float
-) -> float:
+def series_y(alpha_inner: float, alpha_outer: float) -> float:
     """Closed-form series solution of the phase equation.
 
-    Expansion in the per-edge parameters gamma through tenth order; with
-    c_n = gamma_inner^n + gamma_outer^n,
+    Expansion in the per-edge parameters gamma = pi alpha / (pi + a_i +
+    a_o) through tenth order; with c_n = gamma_inner^n + gamma_outer^n,
 
         Y = pi/(pi+a_i+a_o) * [ 1 - c3/(6 pi) - 3 c5/(40 pi)
             + c3^2/(12 pi^2) - 5 c7/(112 pi) + c3 c5/(10 pi^2)
@@ -181,6 +173,9 @@ def series_y(
     Emits a :class:`SeriesUnreliable` warning (and still returns the value)
     when max(gamma) exceeds 0.9, where truncation error is no longer small.
     """
+    pi = math.pi
+    denom = pi + alpha_inner + alpha_outer
+    gamma_inner, gamma_outer = pi * alpha_inner / denom, pi * alpha_outer / denom
     if max(gamma_inner, gamma_outer) > 0.9:
         warnings.warn(
             f"series expansion parameter {max(gamma_inner, gamma_outer)!r} exceeds 0.9; "
@@ -188,7 +183,6 @@ def series_y(
             SeriesUnreliable,
             stacklevel=2,
         )
-    pi = math.pi
     c3 = gamma_inner**3 + gamma_outer**3
     c5 = gamma_inner**5 + gamma_outer**5
     c7 = gamma_inner**7 + gamma_outer**7
@@ -205,7 +199,7 @@ def series_y(
         + 25.0 * c3 * c7 / (336.0 * pi * pi)
         + 9.0 * c5 * c5 / (320.0 * pi * pi)
     )
-    return (pi / (pi + alpha_inner + alpha_outer)) * bracket
+    return (pi / denom) * bracket
 
 
 def derive_well(
@@ -244,13 +238,14 @@ def solve_wells(reduced: ReducedParams) -> tuple[IsolatedWellSolution, IsolatedW
     A mirror-image right well (the same alphas as the left) reuses the
     left phase Y, the same root ``solve_y`` would return, instead of
     solving it again; each well still gets its own record."""
-    unbound = first_unbound_well(reduced)
-    if unbound:
-        raise DomainError(
-            "{} well supports no bound level (alpha_inner={!r}, alpha_outer={!r})".format(*unbound)
-        )
     alpha_m1, alpha_m3 = reduced.alpha_m1, reduced.alpha_m3
     alpha_1, alpha_3 = reduced.alpha_1, reduced.alpha_3
+    for side, inner, outer in (("left", alpha_m1, alpha_m3), ("right", alpha_1, alpha_3)):
+        if not bound_state_exists(inner, outer):
+            raise DomainError(
+                f"{side} well supports no bound level "
+                f"(alpha_inner={inner!r}, alpha_outer={outer!r})"
+            )
     y_left = solve_y(alpha_m1, alpha_m3)
     mirror = alpha_1 == alpha_m1 and alpha_3 == alpha_m3
     y_right = y_left if mirror else solve_y(alpha_1, alpha_3)

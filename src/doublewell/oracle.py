@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegeneracyUnresolved, DomainError, LevelNotFound
-from .params import WellSpec, band, first_unbound_well, reduce, wavenumbers
+from .params import WellSpec, band, wavenumbers
 from .tunneling import Parity, solve_double_well
 from .wavefunc import assemble_at_energy, probabilities
 
@@ -220,17 +220,12 @@ def find_level(
     sides are usually settled so.
 
     Raises :class:`DomainError` before any shoot unless ``tol_rel`` is
-    finite with 0 <= tol_rel < 1; :class:`LevelNotFound` when a well binds
-    no level or the target lies outside [Theta(bottom), Theta(top)) at the
-    band ends; and :class:`DegeneracyUnresolved` by the resolution rule.
+    finite with 0 <= tol_rel < 1; :class:`LevelNotFound` when the target
+    lies outside [Theta(bottom), Theta(top)) at the band ends; and
+    :class:`DegeneracyUnresolved` by the resolution rule.
     """
     if not 0.0 <= tol_rel < 1.0:
         raise DomainError(f"tol_rel must be finite with 0 <= tol_rel < 1, got {tol_rel!r}")
-    unbound = first_unbound_well(reduce(spec))
-    if unbound:
-        raise LevelNotFound(
-            "{} well binds no level (alpha_inner={!r}, alpha_outer={!r})".format(*unbound)
-        )
     nodes = 0 if which == Parity.GROUND else 1
     target = (nodes + 0.75) * math.pi
     lo, hi = band(spec)

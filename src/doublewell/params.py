@@ -34,7 +34,6 @@ __all__ = [
     "band",
     "wavenumbers",
     "bound_state_exists",
-    "first_unbound_well",
     "parse_spec",
     "load_spec",
 ]
@@ -214,18 +213,6 @@ def bound_state_exists(alpha_inner: float, alpha_outer: float) -> bool:
     if hi <= 2.0:
         return True
     return min(alpha_inner, alpha_outer) >= hi * math.cos(math.pi / hi)
-
-
-def first_unbound_well(reduced: ReducedParams) -> tuple[str, float, float] | None:
-    """``(side, alpha_inner, alpha_outer)`` of the first well, left before
-    right, that binds no level; None when both wells bind one."""
-    for side, inner, outer in (
-        ("left", reduced.alpha_m1, reduced.alpha_m3),
-        ("right", reduced.alpha_1, reduced.alpha_3),
-    ):
-        if not bound_state_exists(inner, outer):
-            return side, inner, outer
-    return None
 
 
 def parse_spec(text: str) -> WellSpec:

@@ -139,13 +139,12 @@ class TestAcceptance:
     def test_criterion_5_newton_trace(self, capsys):
         red = reduce(EXAMPLE_SPEC)
         alpha_i, alpha_o = red.alpha_m1, red.alpha_m3
-        gamma_i, gamma_o = red.gamma_m1, red.gamma_m3
-        y = newton_initial(alpha_i, alpha_o, gamma_i, gamma_o)
+        y = newton_initial(alpha_i, alpha_o)
         iterates = [alpha_i * y]
         for _ in range(2):
             y = newton_step(y, alpha_i, alpha_o)
             iterates.append(alpha_i * y)
-        series_s = alpha_i * series_y(alpha_i, alpha_o, gamma_i, gamma_o)
+        series_s = alpha_i * series_y(alpha_i, alpha_o)
         exact_s = alpha_i * solve_y(alpha_i, alpha_o)
         series_rel_err = rel_err(series_s, exact_s)
         ok = (

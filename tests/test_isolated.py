@@ -85,8 +85,7 @@ class TestNewtonIteration:
     def test_example_iterates_match_reference_sequence(self, example_spec):
         red = reduce(example_spec)
         alpha = red.alpha_m1
-        gamma = red.gamma_m1
-        y1 = newton_initial(alpha, alpha, gamma, gamma)
+        y1 = newton_initial(alpha, alpha)
         y2 = newton_step(y1, alpha, alpha)
         y3 = newton_step(y2, alpha, alpha)
         assert alpha * y1 == pytest.approx(0.500580902268, rel=1e-9)
@@ -98,9 +97,7 @@ class TestNewtonIteration:
         for _ in range(50):
             ai = rng.uniform(0.0, 1.9)
             ao = rng.uniform(0.0, min(1.9, 2.0 - ai))
-            gi = gamma_of(ai, ao, ai)
-            go = gamma_of(ai, ao, ao)
-            y = newton_initial(ai, ao, gi, go)
+            y = newton_initial(ai, ao)
             assert 0.0 < y <= 1.0
             assert max(ai, ao) * y < 1.0 or max(ai, ao) == 0.0
 
@@ -114,20 +111,19 @@ class TestNewtonIteration:
 class TestSeries:
     def test_example_series_value(self, example_spec):
         red = reduce(example_spec)
-        y = series_y(red.alpha_m1, red.alpha_m3, red.gamma_m1, red.gamma_m3)
+        y = series_y(red.alpha_m1, red.alpha_m3)
         assert red.alpha_m1 * y == pytest.approx(0.500008388946, rel=1e-9)
 
     def test_example_series_error_scale(self, example_spec):
         red = reduce(example_spec)
-        y_series = series_y(red.alpha_m1, red.alpha_m3, red.gamma_m1, red.gamma_m3)
+        y_series = series_y(red.alpha_m1, red.alpha_m3)
         y_exact = solve_y(red.alpha_m1, red.alpha_m3)
         rel_err = abs(y_series - y_exact) / y_exact
         assert 1e-5 < rel_err < 2e-5
 
     def test_small_coefficients_are_very_accurate(self):
         ai = ao = 0.3
-        g = gamma_of(ai, ao, ai)
-        y_series = series_y(ai, ao, g, g)
+        y_series = series_y(ai, ao)
         y_exact = solve_y(ai, ao)
         assert y_series == pytest.approx(y_exact, rel=1e-6)
 
@@ -136,13 +132,13 @@ class TestSeries:
         g = gamma_of(ai, ao, ai)
         assert g > 0.9
         with pytest.warns(SeriesUnreliable):
-            series_y(ai, ao, g, g)
+            series_y(ai, ao)
 
     def test_moderate_gamma_does_not_warn(self, example_spec):
         red = reduce(example_spec)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            series_y(red.alpha_m1, red.alpha_m3, red.gamma_m1, red.gamma_m3)
+            series_y(red.alpha_m1, red.alpha_m3)
 
 
 class TestDeriveWell:

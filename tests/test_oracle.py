@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -24,6 +25,7 @@ from doublewell import (
     shoot,
     solve_double_well,
 )
+from doublewell import params
 from doublewell.params import band
 from genspecs import asymmetric_spec, random_symmetric_spec
 from oracles import EXAMPLE_E0_EXACT, EXAMPLE_E1_EXACT, mp_levels
@@ -206,9 +208,14 @@ class TestFindLevel:
         with pytest.raises(DegeneracyUnresolved):
             find_level(example_spec, Parity.GROUND, tol_rel=1e-3)
 
-    def test_unbound_well_reports_no_level(self):
-        with pytest.raises(LevelNotFound):
-            find_level(UNBOUND_SPEC, Parity.GROUND)
+    def test_levels_of_a_spec_with_an_unbound_well(self):
+        # The right well alone binds no level, so the closed form (and with
+        # it compare) refuses the spec; the double well still has both
+        # levels, and find_level needs no closed-form test to find them.
+        for parity, exact in zip(Parity, mp_levels(UNBOUND_SPEC, dps=40)):
+            assert find_level(UNBOUND_SPEC, parity) == pytest.approx(exact, rel=1e-13)
+        with pytest.raises(DomainError, match="right well supports no bound level"):
+            compare(UNBOUND_SPEC)
 
     @pytest.mark.parametrize("parity", list(Parity))
     def test_no_band_energy_with_the_node_count(self, parity):
@@ -587,6 +594,27 @@ class TestCompare:
         assert ground <= 5
         assert excited <= 5
         assert len(calls) <= 10
+
+    def test_spec_is_reduced_once(self, monkeypatch, example_spec):
+        # Only the closed form reduces the spec; find_level works from the
+        # spec alone.  Every module binding of params.reduce is counted.
+        calls = []
+        real_reduce = params.reduce
+
+        def counting_reduce(spec):
+            calls.append(spec)
+            return real_reduce(spec)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("doublewell."):
+                for name, value in list(vars(module).items()):
+                    if value is real_reduce:
+                        monkeypatch.setattr(module, name, counting_reduce)
+        compare(example_spec)
+        assert len(calls) == 1
+        find_level(example_spec, Parity.GROUND)
+        find_level(example_spec, Parity.EXCITED, guess=0.25)
+        assert len(calls) == 1
 
     def test_exact_levels_are_find_level_bit_for_bit(self, example_spec):
         rng = random.Random(71)
