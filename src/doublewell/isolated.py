@@ -208,9 +208,9 @@ def derive_well(
     """Derived constants of one well at its converged phase Y."""
     s_inner = alpha_inner * y
     s_outer = alpha_outer * y
-    if s_inner > 1.0 or s_outer > 1.0:
+    if not (s_inner < 1.0 and s_outer < 1.0):
         raise DomainError(
-            f"arcsine argument exceeds 1: inner {s_inner!r}, outer {s_outer!r}"
+            f"arcsine argument must be below 1: inner {s_inner!r}, outer {s_outer!r}"
         )
     c_inner = math.sqrt(1.0 - s_inner * s_inner)
     c_outer = math.sqrt(1.0 - s_outer * s_outer)

@@ -11,13 +11,14 @@ reaching the wall) and every level target (n + 3/4) pi, where
 u' + kappa_4 u = 0, upward only, so level n is the one energy at which
 Theta crosses (n + 3/4) pi and it has n interior nodes.
 
-Each level is one bracket, judged by the phase alone: grown outward from
-the closed-form level when :func:`compare` passes it as a guess, else taken
-between the band ends.  Its trial energies come from Muller steps on the
-smooth decay residual u' + kappa_4 u, safeguarded by bisection.  The
-resolution rule then reuses the shots that opened the bracket wherever
-they settle it: about 12 shoots per :func:`compare` (about 48 from the
-band ends).
+Each level is one bracket search, judged by the phase alone: its first
+pair is the closed-form level -+ h when :func:`compare` passes it as a
+guess, else the two band ends, and it widens until the pair straddles the
+level or reaches a band end.  Its trial energies come from Muller steps
+on the smooth decay residual u' + kappa_4 u, safeguarded by bisection.
+The resolution rule then reuses the shots that opened the bracket
+wherever they settle it: about 12 shoots per :func:`compare` (about 48
+from the band ends).
 
 Used to quantify the error of the closed-form approximation via
 :func:`compare`.
@@ -155,30 +156,27 @@ def _refine(
         widths.append(hi.energy - lo.energy)
 
 
-def _bracket_guess(
+def _bracket(
     spec: WellSpec, guess: float, bottom: float, top: float, target: float
-) -> tuple[ShootResult, ShootResult] | None:
-    """Shots below and above the ``target`` phase crossing, grown outward
-    from ``guess``: first at guess -+ h, h = max(1e-12 |guess|, 1e-15 (top -
-    bottom)), then with h sixteen times wider, reusing the failing shot as
-    the other end, and clipped to [bottom, top].  None unless bottom <
-    guess < top, and when a band-end shot fails, that is when the band-end
-    bracket fails too.
+) -> tuple[ShootResult, ShootResult]:
+    """The last two shots of one search for a pair that straddles the
+    ``target`` phase crossing.  A ``guess`` strictly inside (bottom, top)
+    starts at guess -+ h, h = max(1e-12 |guess|, 1e-15 (top - bottom)),
+    clipped to [bottom, top]; a failing end widens h sixteenfold, reusing
+    the failing shot as the other end.  Any other guess starts at the band
+    ends.  A failing end at a band end stops the search: Theta only rises,
+    so no pair in the band straddles the crossing then.
     """
     if not bottom < guess < top:
-        return None
+        return shoot(spec, bottom), shoot(spec, top)
     h = max(1e-12 * abs(guess), 1e-15 * (top - bottom))
     below = shoot(spec, max(guess - h, bottom))
     above = shoot(spec, min(guess + h, top))
     while True:
-        if not below.phase <= target:
-            if below.energy == bottom:
-                return None
+        if not below.phase <= target and below.energy > bottom:
             h *= 16.0
             below, above = shoot(spec, max(guess - h, bottom)), below
-        elif not above.phase > target:
-            if above.energy == top:
-                return None
+        elif below.phase <= target and not above.phase > target and above.energy < top:
             h *= 16.0
             below, above = above, shoot(spec, min(guess + h, top))
         else:
@@ -197,15 +195,16 @@ def find_level(
     each shot by Theta > (n + 3/4) pi alone and stepping by the decay
     residual.
 
-    A ``guess`` strictly inside the band (inset by 1e-9 of its width) only
-    decides where the bracket starts: shots at guess -+ h, widened sixteen
-    times per step until they straddle the crossing (about 6 shoots per
-    level from a closed-form guess).  Any other guess (NaN, infinite or
-    outside the band), or one whose widening fails at a band end, takes
-    the band ends as the bracket (about 24 shoots per level).  Either way
-    the level is the same crossing, to ``tol_rel``.  A bracket inside the
-    band implies the band-end bracket, so both refuse the same inputs with
-    :class:`LevelNotFound`.
+    One bracket search finds the pair to refine.  A ``guess`` strictly
+    inside the band (inset by 1e-9 of its width) only decides where it
+    starts: shots at guess -+ h, widened sixteen times per step until they
+    straddle the crossing (about 6 shoots per level from a closed-form
+    guess) or a failing end reaches a band end.  Any other guess (NaN,
+    infinite or outside the band) starts at the two band ends (about 24
+    shoots per level).  Either way the level is the same crossing, to
+    ``tol_rel``.  Theta only rises, so a pair in the band straddles the
+    crossing exactly when the band ends do, and every start refuses the
+    same inputs with :class:`LevelNotFound`.
 
     Resolution rule: a level is refused when a neighbouring level lies
     within ``tol_rel`` |E| of it, that is when Theta at root -+ ``tol_rel``
@@ -221,7 +220,8 @@ def find_level(
 
     Raises :class:`DomainError` before any shoot unless ``tol_rel`` is
     finite with 0 <= tol_rel < 1; :class:`LevelNotFound` when the target
-    lies outside [Theta(bottom), Theta(top)) at the band ends; and
+    lies outside the phases of the last pair the search shot, so outside
+    [Theta(bottom), Theta(top)); and
     :class:`DegeneracyUnresolved` by the resolution rule.
     """
     if not 0.0 <= tol_rel < 1.0:
@@ -231,14 +231,11 @@ def find_level(
     lo, hi = band(spec)
     inset = 1e-9 * (hi - lo)
     bottom, top = lo + inset, hi - inset
-    below, above = _bracket_guess(spec, guess, bottom, top, target) or (
-        shoot(spec, bottom),
-        shoot(spec, top),
-    )
+    below, above = _bracket(spec, guess, bottom, top, target)
     if not below.phase <= target < above.phase:
         raise LevelNotFound(
-            f"the {nodes}-node level's phase target {target!r} lies outside the band-end "
-            f"phases [{below.phase!r}, {above.phase!r})"
+            f"the {nodes}-node level's phase target {target!r} lies outside the phases "
+            f"[{below.phase!r}, {above.phase!r}) shot at {below.energy!r} and {above.energy!r}"
         )
     low, high = _refine(spec, below, above, target, tol_rel)
     root = 0.5 * (low.energy + high.energy)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields
 
-from .errors import AssumptionViolated, EnergyOutOfBand, InvalidSpec
+from .errors import AssumptionViolated, DomainError, EnergyOutOfBand, InvalidSpec
 
 __all__ = [
     "WellSpec",
@@ -205,10 +205,11 @@ def bound_state_exists(alpha_inner: float, alpha_outer: float) -> bool:
     The phase equation  arcsin(a_i Y) + arcsin(a_o Y) + pi Y = pi  has a
     solution with both arcsine arguments at most 1 exactly when either
     both alphas are small (max <= 2) or the smaller alpha clears
-    ``alpha_max * cos(pi / alpha_max)``.
+    ``alpha_max * cos(pi / alpha_max)``.  A negative or NaN alpha raises
+    :class:`DomainError`.
     """
-    if alpha_inner < 0.0 or alpha_outer < 0.0:
-        raise InvalidSpec("violated constraint: alpha >= 0")
+    if not (alpha_inner >= 0.0 and alpha_outer >= 0.0):
+        raise DomainError("violated constraint: alpha >= 0")
     hi = max(alpha_inner, alpha_outer)
     if hi <= 2.0:
         return True

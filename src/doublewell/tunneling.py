@@ -113,12 +113,13 @@ def solve_r0(parity: Parity, a_left: float, a_right: float, p_cap: float) -> tup
     r0 = mean + sqrt(diff^2 + p), making the fixed-point residual evaluate
     to exactly zero in floating point.
     The parity is read once, as its sign, which the loop tests.
-    Raises :class:`ExcitedBelowZero` when the antisymmetric fixed point
-    collapses to r0 <= 0, and :class:`NoConvergence` when ``MAX_ITER_R``
-    steps do not settle.
+    Raises :class:`DomainError` unless a_left, a_right and p_cap are >= 0,
+    :class:`ExcitedBelowZero` when the antisymmetric fixed point collapses
+    to r0 <= 0, and :class:`NoConvergence` when ``MAX_ITER_R`` steps do
+    not settle.
     """
-    if p_cap < 0.0:
-        raise DomainError(f"coupling p_cap must be >= 0, got {p_cap!r}")
+    if not (a_left >= 0.0 and a_right >= 0.0 and p_cap >= 0.0):
+        raise DomainError(f"a_left, a_right, p_cap must be >= 0: {a_left!r} {a_right!r} {p_cap!r}")
     mean = 0.5 * (a_left + a_right)
     diff = 0.5 * (a_right - a_left)
     if parity == Parity.GROUND:
@@ -129,6 +130,7 @@ def solve_r0(parity: Parity, a_left: float, a_right: float, p_cap: float) -> tup
             raise ExcitedBelowZero(f"antisymmetric fixed point start {r!r} <= 0")
     r_next = r
     for _ in range(MAX_ITER_R):
+        r = r_next
         p = p_cap * math.exp(-2.0 * r)
         r_next = mean + sign * math.sqrt(diff * diff + p)
         if sign < 0.0 and r_next <= 0.0:
@@ -139,9 +141,8 @@ def solve_r0(parity: Parity, a_left: float, a_right: float, p_cap: float) -> tup
         if abs(r_next - r) <= TOL * max(1.0, abs(r_next)):
             p = p_cap * math.exp(-2.0 * r_next)
             return mean + sign * math.sqrt(diff * diff + p), p
-        r = r_next
     raise NoConvergence(
-        "barrier fixed point did not converge", last_iterate=r, residual=abs(r_next - r)
+        "barrier fixed point did not converge", last_iterate=r_next, residual=abs(r_next - r)
     )
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from doublewell import errors
+from doublewell import cli, errors, tunneling
 from doublewell.cli import main
 from genspecs import EXAMPLE_SPEC, child_env
 
@@ -169,6 +169,14 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", str(path))
         assert code == 2
         assert "right" in err
+
+    def test_fixed_point_step_limit_exits_3(self, capsys, monkeypatch, spec_file):
+        monkeypatch.setattr(tunneling, "MAX_ITER_R", 1)
+        code, out, err = run_cli(capsys, "solve", spec_file)
+        assert code == 3
+        assert out == ""
+        assert "barrier fixed point did not converge" in err
+        assert err.endswith(HINT_3)
 
 
 class TestPerturb:
@@ -409,6 +417,24 @@ class TestPaperExample:
         assert len(lines) == 31
         assert all(line.startswith("PASS ") for line in lines)
         assert err == ""
+
+    def test_failing_reference_row_exits_7(self, capsys, monkeypatch):
+        real_rows = cli._example_rows
+
+        def rows_with_a_wrong_reference():
+            rows = real_rows()
+            name, got, expected, tol, mode = rows[0]
+            rows[0] = (name, got, 2.0 * expected, tol, mode)
+            return rows
+
+        monkeypatch.setattr(cli, "_example_rows", rows_with_a_wrong_reference)
+        code, out, err = run_cli(capsys, "paper-example")
+        assert code == 7
+        lines = [line for line in out.splitlines() if line]
+        assert len(lines) == 31
+        assert lines[0].startswith("FAIL gamma = ")
+        assert all(line.startswith("PASS ") for line in lines[1:])
+        assert err == "failing quantities: gamma\n"
 
 
 class TestParsing:

@@ -179,6 +179,13 @@ class TestDeriveWell:
         with pytest.raises(DomainError):
             derive_well(1.0, 1.2, 0.3, 0.1)
 
+    @pytest.mark.parametrize("y", [1.0, math.nan])
+    def test_rejects_sine_argument_of_exactly_one_or_nan(self, y):
+        # At 1 the edge cosine is 0, and the edge tangent divides by it; a
+        # NaN phase would give a record of NaNs.
+        with pytest.raises(DomainError, match="must be below 1"):
+            derive_well(y, 1.0, 0.5, 0.15)
+
 
 class TestCoupling:
     def test_product_of_well_coefficients(self, example_spec):

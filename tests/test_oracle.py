@@ -50,6 +50,13 @@ NO_WINDOW_SPEC = WellSpec(
     w_m2=6.0, w_0=10.0, w_2=2.0,
 )
 
+# Narrow wells under a low barrier: the phase at the band top is 1.27,
+# below the ground target 3 pi / 4, so the band holds neither level.
+LOW_TOP_SPEC = WellSpec(
+    hbar=1.0, mass=2.0, v_m4=1.0, v_m2=0.0, v_0=0.01, v_2=0.0, v_4=1.0,
+    w_m2=0.05, w_0=1.0, w_2=0.05,
+)
+
 # Asymmetric at barrier opacity 53.4: the ground state's barrier extremum
 # lies near the right edge, so the left tail's ratio tanh(kappa_0 d) reads
 # 1 + 2e-13 in float64 while the right tail's reads 1 - 1.4e-6.
@@ -221,6 +228,28 @@ class TestFindLevel:
     def test_no_band_energy_with_the_node_count(self, parity):
         with pytest.raises(LevelNotFound):
             find_level(NO_WINDOW_SPEC, parity)
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_search_stops_at_the_band_top(self, monkeypatch, parity):
+        # From mid-band the search widens upward until it shoots the band
+        # top, short of the target, and refuses on that last pair: the
+        # band top is shot once and the band bottom never.
+        shots = []
+
+        def recording_shoot(spec, energy):
+            shots.append(shoot(spec, energy))
+            return shots[-1]
+
+        monkeypatch.setattr(oracle, "shoot", recording_shoot)
+        lo, hi = band(LOW_TOP_SPEC)
+        bottom, top = lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo)
+        with pytest.raises(LevelNotFound, match="phase") as info:
+            find_level(LOW_TOP_SPEC, parity, guess=0.5 * (lo + hi))
+        energies = [shot.energy for shot in shots]
+        assert energies.count(top) == 1 and energies[-1] == top
+        assert bottom not in energies
+        assert 1.26 < shots[-1].phase < 1.28
+        assert repr(top) in str(info.value)
 
     def test_steep_phase_step_is_sharpened(self, monkeypatch, example_spec):
         # The band is (0, 1) and the phase climbs through the one-node target

@@ -7,7 +7,8 @@ from dataclasses import replace
 import pytest
 
 from doublewell import (
-    AssumptionViolated, InvalidSpec, WellSpec, bound_state_exists, load_spec, parse_spec, reduce,
+    AssumptionViolated, DomainError, InvalidSpec, WellSpec, bound_state_exists, load_spec,
+    parse_spec, reduce,
 )
 from doublewell.params import wavenumbers
 from genspecs import EXAMPLE_SPEC, mixed_spec_batch
@@ -48,6 +49,14 @@ class TestWellSpecValidation:
         kwargs[field] = value
         with pytest.raises(InvalidSpec, match=constraint.replace(">", ".")):
             WellSpec(**kwargs)
+
+    @pytest.mark.parametrize("bad", ["1", True, None, 1 + 0j])
+    def test_values_that_are_not_real_numbers_rejected(self, bad):
+        with pytest.raises(InvalidSpec, match="hbar must be a real number"):
+            WellSpec(
+                hbar=bad, mass=2.0, v_m4=1.0, v_m2=0.0, v_0=1.0, v_2=0.0, v_4=1.0,
+                w_m2=2.0, w_0=10.0, w_2=2.0,
+            )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, bad):
@@ -148,6 +157,16 @@ class TestBoundStateExists:
         # sum 3.1, smaller 0.1 < 3.1 cos(pi/3.1): unbound
         assert not bound_state_exists(3.0, 0.1)
         assert not bound_state_exists(4.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "alphas", [(-1.0, 0.5), (0.5, -1e-300), (math.nan, 0.5), (0.5, math.nan)]
+    )
+    def test_negative_alpha_is_a_domain_error(self, alphas):
+        # No spec is involved, so the refusal is not InvalidSpec.  A NaN
+        # alpha used to read as unbound on the inner side, bound on the outer.
+        with pytest.raises(DomainError, match="alpha >= 0") as info:
+            bound_state_exists(*alphas)
+        assert not isinstance(info.value, InvalidSpec)
 
 
 SPEC_TEXT = """\

@@ -12,6 +12,7 @@ from doublewell import (
     AssumptionViolated,
     DomainError,
     ExcitedBelowZero,
+    NoConvergence,
     Parity,
     coefficient_ratio,
     solve_double_well,
@@ -72,6 +73,33 @@ class TestFixedPoint:
     def test_negative_coupling_rejected(self):
         with pytest.raises(DomainError):
             solve_r0(Parity.GROUND, 18.0, 18.0, -1.0)
+
+    @pytest.mark.parametrize(
+        "parity,a_left,a_right,p_cap",
+        [
+            # exp(-2 r) overflows at r = -400 before the loop could settle.
+            (Parity.GROUND, -400.0, -400.0, 1.0),
+            (Parity.GROUND, 18.0, -1.0, 1.0),
+            (Parity.GROUND, math.nan, 18.0, 1.0),
+            # A NaN coupling never settles: MAX_ITER_R steps to NoConvergence.
+            (Parity.EXCITED, 5.0, 5.0, math.nan),
+        ],
+    )
+    def test_negative_or_nan_inputs_rejected_before_the_loop(
+        self, parity, a_left, a_right, p_cap
+    ):
+        with pytest.raises(DomainError, match="must be >= 0"):
+            solve_r0(parity, a_left, a_right, p_cap)
+
+    def test_step_limit_raises_no_convergence(self, monkeypatch, example_spec):
+        # From the worked example's a = 18.1379936423 one step lands within
+        # 1e-15 of r0 = 18.1379936637, but the step itself, r0 - a, is far
+        # above the tolerance; the error carries that iterate and step.
+        monkeypatch.setattr(tunneling, "MAX_ITER_R", 1)
+        with pytest.raises(NoConvergence) as info:
+            solve_double_well(example_spec)
+        assert info.value.last_iterate == pytest.approx(18.1379936637, rel=1e-11)
+        assert info.value.residual == pytest.approx(2.13798934e-8, rel=1e-6)
 
     def test_excited_below_zero_raises(self):
         with pytest.raises(ExcitedBelowZero):
