@@ -19,7 +19,8 @@ import importlib
 
 __version__ = "1.0.0"
 
-# Public names per defining submodule.
+# The one list of the library's public names, per defining submodule: the
+# loader finds a name's module here without importing any.
 _EXPORTS = {
     "errors": (
         "DoubleWellError", "InvalidSpec", "DomainError", "NotSymmetric",

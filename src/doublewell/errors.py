@@ -9,23 +9,6 @@ code by that base (``cli.EXIT_CODES``).
 
 from __future__ import annotations
 
-__all__ = [
-    "DoubleWellError",
-    "InvalidSpec",
-    "DomainError",
-    "NoConvergence",
-    "ExcitedBelowZero",
-    "AssumptionViolated",
-    "NotSymmetric",
-    "PerturbationTooLarge",
-    "EnergyOutOfBand",
-    "MatchingResidualTooLarge",
-    "BadRange",
-    "LevelNotFound",
-    "DegeneracyUnresolved",
-    "SeriesUnreliable",
-]
-
 
 class DoubleWellError(Exception):
     """Base class for all errors raised by this package."""
@@ -66,8 +49,9 @@ class AssumptionViolated(DoubleWellError, RuntimeError):
     """The closed form does not apply to this input: a first-order
     correction epsilon exceeded the trust threshold 0.1, or a result left
     the float64 range (an energy scale of ``params.reduce``, a report value
-    or an assembled wavefunction that overflows, a coupling P or a
-    half-splitting that underflows to 0)."""
+    or an assembled wavefunction that overflows, a barrier scale of
+    ``params.reduce``, a coupling P or a half-splitting that underflows
+    to 0)."""
 
 
 class NotSymmetric(DoubleWellError, ValueError):

@@ -30,18 +30,6 @@ from dataclasses import dataclass
 from .errors import DomainError, NoConvergence, SeriesUnreliable
 from .params import ReducedParams, bound_state_exists
 
-__all__ = [
-    "IsolatedWellSolution",
-    "BarrierCoupling",
-    "newton_initial",
-    "newton_step",
-    "solve_y",
-    "series_y",
-    "derive_well",
-    "coupling",
-    "solve_wells",
-]
-
 #: Relative step tolerance of the phase Newton solve and the barrier fixed point.
 TOL = 1e-13
 #: Newton step limit of ``solve_y``.

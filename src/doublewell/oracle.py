@@ -34,8 +34,6 @@ from .params import WellSpec, band, wavenumbers
 from .tunneling import Parity, solve_double_well
 from .wavefunc import assemble_at_energy, probabilities
 
-__all__ = ["ShootResult", "OracleComparison", "shoot", "find_level", "compare"]
-
 
 @dataclass(slots=True)
 class ShootResult:

@@ -26,17 +26,6 @@ from dataclasses import MISSING, dataclass, fields
 
 from .errors import AssumptionViolated, DomainError, EnergyOutOfBand, InvalidSpec
 
-__all__ = [
-    "WellSpec",
-    "ReducedParams",
-    "SPEC_KEYS",
-    "reduce",
-    "band",
-    "wavenumbers",
-    "bound_state_exists",
-    "parse_spec",
-    "load_spec",
-]
 
 @dataclass(frozen=True, slots=True)
 class WellSpec:
@@ -127,7 +116,8 @@ def reduce(spec: WellSpec) -> ReducedParams:
     """Compute all dimensionless parameters of the two wells.
 
     Raises :class:`AssumptionViolated` when an energy scale K_i leaves the
-    float64 range (overflows, or underflows to 0)."""
+    float64 range (overflows, or underflows to 0), or a barrier scale beta
+    underflows to 0."""
     w_m3 = spec.v_m4 - spec.v_m2
     w_m1 = spec.v_0 - spec.v_m2
     w_1 = spec.v_0 - spec.v_2
@@ -151,6 +141,11 @@ def reduce(spec: WellSpec) -> ReducedParams:
     alpha_3 = math.sqrt(k_2 / w_3)
     beta_m1 = math.sqrt(k_0 / w_m1)
     beta_1 = math.sqrt(k_0 / w_1)
+    if beta_m1 == 0.0 or beta_1 == 0.0:  # every barrier coefficient divides by beta
+        raise AssumptionViolated(
+            f"a barrier scale beta = sqrt(K_0 / W) underflows to 0: K_0={k_0!r}, "
+            f"W_m1={w_m1!r}, W_1={w_1!r}"
+        )
     denom_left = math.pi + alpha_m1 + alpha_m3
     denom_right = math.pi + alpha_1 + alpha_3
     gamma_m3 = math.pi * alpha_m3 / denom_left

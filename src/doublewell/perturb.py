@@ -32,17 +32,6 @@ from .isolated import IsolatedWellSolution, coupling, solve_wells
 from .params import ReducedParams, WellSpec, reduce
 from .tunneling import Parity, _check_trust, _probability_split, solve_r0
 
-__all__ = [
-    "SymmetricBase",
-    "PerturbedLevels",
-    "DeltaLedger",
-    "symmetric_base",
-    "delta_ledger",
-    "perturbed_levels",
-    "invert_ratio",
-    "two_level_check",
-]
-
 
 @dataclass(slots=True)
 class SymmetricBase:
@@ -129,15 +118,16 @@ def symmetric_base(spec: WellSpec) -> SymmetricBase:
     g_coef = 1.0 - (sum_right + sum_left) / (2.0 * math.pi)
     r0, p_small = solve_r0(Parity.GROUND, left.a_coef, right.a_coef, coupling(left, right).p_cap)
     root_p = math.sqrt(p_small)
-    _check_trust(root_p / left.b_coef, root_p / right.b_coef)
     a_sym = 0.5 * (left.a_coef + right.a_coef)
     delta_e = (2.0 * a_sym * reduced_params.k_0 / math.pi**2) * root_p
     if delta_e == 0.0:
-        # Every response formula is in units of delta_e.
+        # Every response formula is in units of delta_e; refused before the
+        # trust check, which divides by b, itself 0 when p is.
         raise AssumptionViolated(
             f"the half-splitting delta_e underflowed to 0: p = P e^(-2 r0) = {p_small!r} "
             f"at r0 = {r0!r}; the barrier is too opaque for the perturbation formulas"
         )
+    _check_trust(root_p / left.b_coef, root_p / right.b_coef)
     e_bar = 0.5 * (
         spec.v_m2
         + reduced_params.k_m2 * left.y_cap**2

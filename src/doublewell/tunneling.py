@@ -30,18 +30,6 @@ from .errors import AssumptionViolated, DomainError, ExcitedBelowZero, NoConverg
 from .isolated import TOL, BarrierCoupling, IsolatedWellSolution, coupling, solve_wells
 from .params import ReducedParams, WellSpec, reduce
 
-__all__ = [
-    "Parity",
-    "CoupledSolution",
-    "SplittingResult",
-    "DoubleWellResult",
-    "solve_r0",
-    "correct_energy",
-    "splitting",
-    "coefficient_ratio",
-    "solve_double_well",
-]
-
 #: Step limit of ``solve_r0``.
 MAX_ITER_R = 100
 
@@ -113,13 +101,15 @@ def solve_r0(parity: Parity, a_left: float, a_right: float, p_cap: float) -> tup
     r0 = mean + sqrt(diff^2 + p), making the fixed-point residual evaluate
     to exactly zero in floating point.
     The parity is read once, as its sign, which the loop tests.
-    Raises :class:`DomainError` unless a_left, a_right and p_cap are >= 0,
-    :class:`ExcitedBelowZero` when the antisymmetric fixed point collapses
-    to r0 <= 0, and :class:`NoConvergence` when ``MAX_ITER_R`` steps do
-    not settle.
+    Raises :class:`DomainError` unless a_left, a_right and p_cap are >= 0
+    and finite, :class:`ExcitedBelowZero` when the antisymmetric fixed
+    point collapses to r0 <= 0, and :class:`NoConvergence` when
+    ``MAX_ITER_R`` steps do not settle.
     """
-    if not (a_left >= 0.0 and a_right >= 0.0 and p_cap >= 0.0):
-        raise DomainError(f"a_left, a_right, p_cap must be >= 0: {a_left!r} {a_right!r} {p_cap!r}")
+    if not (0.0 <= a_left < math.inf and 0.0 <= a_right < math.inf and 0.0 <= p_cap < math.inf):
+        raise DomainError(
+            f"a_left, a_right, p_cap must be >= 0 and finite: {a_left!r} {a_right!r} {p_cap!r}"
+        )
     mean = 0.5 * (a_left + a_right)
     diff = 0.5 * (a_right - a_left)
     if parity == Parity.GROUND:

@@ -21,6 +21,7 @@ the analytic piecewise integrals.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, IO
 
@@ -32,17 +33,6 @@ from .tunneling import CoupledSolution, Parity
 # (assemble, probabilities, and the oracle through them) never load it.
 if TYPE_CHECKING:
     import numpy as np
-
-__all__ = [
-    "WavefunctionModel",
-    "assemble",
-    "assemble_at_energy",
-    "evaluate",
-    "derivative",
-    "probabilities",
-    "sample",
-    "write_sample_csv",
-]
 
 
 @dataclass(slots=True)
@@ -358,14 +348,19 @@ def sample(
 
     Raises :class:`BadRange` for a malformed range or point count, or one
     too large to allocate."""
-    if not (math.isfinite(x_min) and math.isfinite(x_max)) or not x_min < x_max:
-        raise BadRange(f"need finite x_min < x_max, got {x_min!r}, {x_max!r}")
+    # An infinite or NaN end, or a width that overflows, leaves the width non-finite.
+    if not (x_min < x_max and math.isfinite(x_max - x_min)):
+        raise BadRange(f"need finite x_min < x_max and x_max - x_min, got {x_min!r}, {x_max!r}")
     try:
         count = int(n_points)
     except (OverflowError, ValueError):  # inf, nan, a non-numeric string
         count = 0
     if count != n_points or count < 2:
         raise BadRange(f"need an integer n_points >= 2, got {n_points!r}")
+    # numpy refuses an array of more than sys.maxsize bytes with ValueError
+    # or IndexError, not MemoryError: cap the 24-byte rows before it is asked.
+    if count > sys.maxsize // 24:
+        raise BadRange(f"cannot allocate a table of {count} points")
     import numpy as np
 
     try:

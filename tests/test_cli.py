@@ -20,6 +20,16 @@ DETUNED_OPAQUE = {"w_0": 21.0 * EXAMPLE_SPEC.w_0, "v_2": -1e-12, "v_4": 1.0 - 1e
 # The worked example with mass 1e300: the energy scales stay inside float64,
 # but the coupling P and the half-splitting underflow to 0.
 HEAVY = {"mass": 1e300}
+# Valid specs whose barrier quantities underflow to 0: beta = sqrt(K_0 / W),
+# and b (so P and p) behind a barrier far thinner than the wells.
+BETA_UNDERFLOW = dict(
+    hbar=1.0, mass=1.0, v_m4=1e25, v_m2=0.0, v_0=1e25, v_2=0.0, v_4=1e25,
+    w_m2=1.0, w_0=1e150, w_2=1.0,
+)
+B_UNDERFLOW = dict(
+    hbar=1.0, mass=1.0, v_m4=1.0, v_m2=0.0, v_0=1.0, v_2=0.0, v_4=1.0,
+    w_m2=1e100, w_0=1e-150, w_2=1e100,
+)
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 # Resolves a declared entry point and calls it the way an installer's generated
@@ -402,6 +412,17 @@ class TestSample:
         assert err.startswith("error: cannot allocate a table of 1000000000000000 points")
         assert not dest.exists()
 
+    @pytest.mark.parametrize("points", [2**63 - 1, 10**20])
+    def test_unindexable_point_count_exits_2(self, capsys, spec_file, tmp_path, points):
+        # numpy refuses these counts with IndexError or ValueError, not MemoryError.
+        dest = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "sample", spec_file, "--points", str(points), "--out", str(dest)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot allocate a table of {points} points")
+        assert not dest.exists()
+
     def test_unwritable_destination(self, capsys, spec_file, tmp_path):
         dest = tmp_path / "missing_dir" / "x.csv"
         code, _, err = run_cli(capsys, "sample", spec_file, "--out", str(dest))
@@ -492,7 +513,12 @@ class TestExitCodes:
         monkeypatch.setattr("doublewell.cli.load_spec", load_spec)
 
     def test_every_error_class_is_listed(self):
-        assert set(EXPECTED_EXITS) == set(errors.__all__) - {"DoubleWellError", "SeriesUnreliable"}
+        defined = {
+            name for name, obj in vars(errors).items()
+            if isinstance(obj, type) and issubclass(obj, errors.DoubleWellError)
+            and obj.__module__ == errors.__name__
+        }
+        assert set(EXPECTED_EXITS) == defined - {"DoubleWellError"}
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_EXITS))
     def test_error_reaches_its_exit_code(self, capsys, monkeypatch, name):
@@ -725,3 +751,22 @@ class TestColdStart:
         assert out.read_text().startswith("x,psi,dpsi\n")
         assert proc.stderr.endswith("\nnumpy imported: True\n")
         self.assert_loads(proc, "sample")
+
+
+class TestUnderflowedBarrier:
+    @pytest.mark.parametrize("argv", [["solve"], ["perturb", "--v", "1"], ["oracle"]])
+    def test_underflowed_beta_exits_3(self, capsys, tmp_path, argv):
+        # beta = 0 must not reach derive_well, which divides by it (exit 1).
+        path = tmp_path / "beta.spec"
+        path.write_text(spec_text(**BETA_UNDERFLOW))
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: a barrier scale beta = sqrt(K_0 / W) underflows to 0")
+
+    def test_underflowed_b_exits_3_from_perturb(self, capsys, tmp_path):
+        # p = 0 must be refused before the trust check divides sqrt(p) by b = 0.
+        path = tmp_path / "thin.spec"
+        path.write_text(spec_text(**B_UNDERFLOW))
+        code, out, err = run_cli(capsys, "perturb", str(path), "--v", "1")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: the half-splitting delta_e underflowed to 0")

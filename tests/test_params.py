@@ -137,6 +137,16 @@ class TestReduce:
         with pytest.raises(AssumptionViolated, match="leaves the float64 range"):
             reduce(replace(EXAMPLE_SPEC, **overrides))
 
+    def test_underflowed_barrier_scale_is_refused(self):
+        # K_0 ~ 5e-300 over steps of 1e25: beta = sqrt(K_0 / W) is 0 in float64,
+        # and every barrier coefficient divides by it.
+        spec = WellSpec(
+            hbar=1.0, mass=1.0, v_m4=1e25, v_m2=0.0, v_0=1e25, v_2=0.0, v_4=1e25,
+            w_m2=1.0, w_0=1e150, w_2=1.0,
+        )
+        with pytest.raises(AssumptionViolated, match="beta = sqrt"):
+            reduce(spec)
+
 
 class TestWavenumbers:
     def test_example_at_the_mean_level(self, example_spec):

@@ -13,6 +13,7 @@ from doublewell import (
     DomainError,
     NotSymmetric,
     PerturbationTooLarge,
+    WellSpec,
     delta_ledger,
     derive_well,
     invert_ratio,
@@ -83,6 +84,16 @@ class TestSymmetricBase:
         thick = replace(EXAMPLE_SPEC, w_0=25.0 * EXAMPLE_SPEC.w_0)
         with pytest.raises(AssumptionViolated, match="underflowed"):
             symmetric_base(thick)
+
+    def test_underflowed_b_is_refused_before_the_trust_check(self):
+        # A barrier 1e250 times thinner than the wells: b, P and p are all 0,
+        # and the trust check would divide sqrt(p) = 0 by b = 0.
+        thin = WellSpec(
+            hbar=1.0, mass=1.0, v_m4=1.0, v_m2=0.0, v_0=1.0, v_2=0.0, v_4=1.0,
+            w_m2=1e100, w_0=1e-150, w_2=1e100,
+        )
+        with pytest.raises(AssumptionViolated, match="half-splitting delta_e underflowed"):
+            symmetric_base(thin)
 
     def test_thin_barrier_is_refused_at_the_trust_threshold(self):
         # At w_0 = w_2 / 10, eps = sqrt(p) / b is ~0.18 per side, above 0.1:

@@ -91,6 +91,20 @@ class TestFixedPoint:
         with pytest.raises(DomainError, match="must be >= 0"):
             solve_r0(parity, a_left, a_right, p_cap)
 
+    @pytest.mark.parametrize(
+        "parity,a_left,a_right,p_cap",
+        [
+            # An infinite coupling gives r0 = inf and p = inf * 0 = NaN.
+            (Parity.GROUND, 5.0, 5.0, math.inf),
+            # An infinite a never settles: MAX_ITER_R steps of NaN.
+            (Parity.GROUND, math.inf, 5.0, 1.0),
+            (Parity.EXCITED, 5.0, math.inf, 1.0),
+        ],
+    )
+    def test_infinite_inputs_rejected_before_the_loop(self, parity, a_left, a_right, p_cap):
+        with pytest.raises(DomainError, match="must be >= 0 and finite"):
+            solve_r0(parity, a_left, a_right, p_cap)
+
     def test_step_limit_raises_no_convergence(self, monkeypatch, example_spec):
         # From the worked example's a = 18.1379936423 one step lands within
         # 1e-15 of r0 = 18.1379936637, but the step itself, r0 - a, is far

@@ -349,6 +349,10 @@ class TestSampleTable:
         (0.0, 1.0, -math.inf),
         (0.0, 1.0, math.nan),
         (0.0, 1.0, 10**15),  # 7 PiB per column, beyond any 64-bit address space
+        (-1e308, 1e308, 3),  # finite ends, but the width overflows
+        (0.0, 1.0, 2**60),  # numpy: ValueError "array is too big"
+        (0.0, 1.0, 2**63 - 1),  # numpy: IndexError
+        (0.0, 1.0, 10**20),  # numpy: ValueError "Maximum allowed size exceeded"
     ])
     def test_bad_ranges_rejected(self, example_spec, bad_range):
         _, ground, _ = _models(example_spec)
