@@ -170,7 +170,9 @@ def wavenumbers(spec: WellSpec, energy: float) -> tuple[float, float, float, flo
     in each region, left to right, at an energy inside :func:`band`.
 
     The band check is that all five kinetic terms are positive (NaN fails
-    it); :class:`EnergyOutOfBand` is raised otherwise.
+    it); :class:`EnergyOutOfBand` is raised otherwise.  The least of them
+    gives the smallest wavenumber, which callers divide by:
+    :class:`AssumptionViolated` is raised when it underflows to 0.
     """
     kinetic = (
         spec.v_m4 - energy,
@@ -179,10 +181,16 @@ def wavenumbers(spec: WellSpec, energy: float) -> tuple[float, float, float, flo
         energy - spec.v_2,
         spec.v_4 - energy,
     )
-    if not min(kinetic) > 0.0:
+    least = min(kinetic)
+    if not least > 0.0:
         lo, hi = band(spec)
         raise EnergyOutOfBand(f"energy {energy!r} outside the bound band ({lo!r}, {hi!r})")
     two_m = 2.0 * spec.mass
+    if not math.sqrt(two_m * least) / spec.hbar > 0.0:
+        raise AssumptionViolated(
+            f"a wavenumber sqrt(2 m |E - V|) / hbar underflows to 0 at energy {energy!r}: "
+            f"hbar={spec.hbar!r}, mass={spec.mass!r}"
+        )
     t_m4, t_m2, t_0, t_2, t_4 = kinetic
     # Written out: a comprehension here slows each oracle shoot by ~10%.
     return (

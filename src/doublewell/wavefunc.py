@@ -34,6 +34,9 @@ from .tunneling import CoupledSolution, Parity
 if TYPE_CHECKING:
     import numpy as np
 
+# Read once here: each Parity.X lookup is slow on Python 3.11.
+_GROUND, _EXCITED = Parity.GROUND, Parity.EXCITED
+
 
 @dataclass(slots=True)
 class WavefunctionModel:
@@ -104,7 +107,7 @@ def _assemble_core(
         raise DomainError(
             f"inner phase out of range: phase_m1={phase_m1!r}, phase_1={phase_1!r}"
         )
-    hyp = math.sinh if parity == Parity.EXCITED else math.cosh
+    hyp = math.sinh if parity == _EXCITED else math.cosh
     try:
         amp_m2 = hyp(r_left) / sin_m1
         amp_2 = hyp(kappa_0 * spec.w_0 - r_left) / sin_1
@@ -138,12 +141,15 @@ def _assemble_core(
 # for exp (always a semi-infinite tail decaying away from its origin), else
 # (s, h) with the integral of [amp f(rate (x - origin))]^2 over [a, b] equal to
 # amp^2 [s (b - a)/2 + (h(2 rate (b - origin)) - h(2 rate (a - origin))) / (4 rate)].
-# The names resolve in math for _piece and in numpy for _fill.
+# The names resolve in numpy for _fill, and once, in math, for _piece.
 _KINDS = {
     "exp": ("exp", "exp", 1.0, None),
     "cos": ("cos", "sin", -1.0, (1.0, math.sin)),
     "cosh": ("cosh", "sinh", 1.0, (1.0, math.sinh)),
     "sinh": ("sinh", "cosh", 1.0, (-1.0, math.sinh)),
+}
+_MATH_KINDS = {
+    kind: (getattr(math, f), getattr(math, g), sign) for kind, (f, g, sign, _) in _KINDS.items()
 }
 
 Piece = tuple[str, float, float, float]
@@ -158,7 +164,7 @@ def _pieces(model: WavefunctionModel) -> tuple[tuple[float, ...], tuple[Piece, .
     excited state's overall minus sign on the two left regions is folded
     into their amplitudes.
     """
-    excited = model.parity == Parity.EXCITED
+    excited = model.parity == _EXCITED
     sign = -1.0 if excited else 1.0
     return (model.x_m3, model.x_m1, model.x_1, model.x_3), (
         ("exp", sign * model.amp_m4, model.kappa_m4, model.x_m3),
@@ -172,9 +178,9 @@ def _pieces(model: WavefunctionModel) -> tuple[tuple[float, ...], tuple[Piece, .
 def _piece(piece: Piece, x: float) -> tuple[float, float]:
     """One piece's (psi, dpsi/dx) at one float x, in math."""
     kind, amp, rate, origin = piece
-    f, g, sign, _ = _KINDS[kind]
+    f, g, sign = _MATH_KINDS[kind]
     t = (x - origin) * rate
-    return amp * getattr(math, f)(t), (sign * amp) * rate * getattr(math, g)(t)
+    return amp * f(t), (sign * amp) * rate * g(t)
 
 
 def _fill(piece: Piece, xs, out, slope: bool) -> None:
@@ -298,7 +304,7 @@ def assemble_at_energy(
     """
     waves = wavenumbers(spec, energy)
     kappa_m4, k_m2, kappa_0, k_2, kappa_4 = waves
-    ground = parity == Parity.GROUND
+    ground = parity == _GROUND
     rho_left = _tail_ratio(ground, kappa_m4, k_m2, spec.w_m2, kappa_0)
     rho_right = _tail_ratio(ground, kappa_4, k_2, spec.w_2, kappa_0)
     # |ratio| >= 1 has no extremum at all; NaN puts it outside the barrier.

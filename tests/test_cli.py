@@ -30,6 +30,20 @@ B_UNDERFLOW = dict(
     hbar=1.0, mass=1.0, v_m4=1.0, v_m2=0.0, v_0=1.0, v_2=0.0, v_4=1.0,
     w_m2=1e100, w_0=1e-150, w_2=1e100,
 )
+# Valid specs at the edges of float64 that the closed form solves: every
+# 2 m |E - V| underflows to 0 at the levels, or overflows in the wells and
+# the barrier at the band top, where the shot's phase becomes infinite.
+WAVENUMBER_UNDERFLOW = dict(
+    hbar=5.850175020285839e-82, mass=8.265066892422095e-155, v_m4=2.572479528449615e-187,
+    v_m2=0.0, v_0=3.171613675936049e-166, v_2=0.0, v_4=2.572479528449615e-187,
+    w_m2=7.267212473876286e94, w_0=2.5727080190749545e57, w_2=7.267212473876286e94,
+)
+PHASE_OVERFLOW = dict(
+    hbar=6.056573106756008e116, mass=4.0980544923841734e133, v_m4=4.6838946297290186e182,
+    v_m2=7.104432341997065e-29, v_0=4.5498175852314566e192, v_2=7.104432341997065e-29,
+    v_4=4.6838946297290186e182, w_m2=1.8430637254727472e-07, w_0=3.184816202304822e-20,
+    w_2=1.8430637254727472e-07,
+)
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 # Resolves a declared entry point and calls it the way an installer's generated
@@ -770,3 +784,24 @@ class TestUnderflowedBarrier:
         code, out, err = run_cli(capsys, "perturb", str(path), "--v", "1")
         assert (code, out) == (3, "")
         assert err.startswith("error: the half-splitting delta_e underflowed to 0")
+
+
+class TestFloatRangeShots:
+    @pytest.mark.parametrize("command", ["oracle", "sample"])
+    def test_underflowed_wavenumber_exits_3(self, capsys, tmp_path, command):
+        # A wavenumber of 0 must not reach shoot or assemble, which divide by it (exit 1).
+        path = tmp_path / "tiny.spec"
+        path.write_text(spec_text(**WAVENUMBER_UNDERFLOW))
+        extra = ["--out", str(tmp_path / "psi.csv")] if command == "sample" else []
+        code, out, err = run_cli(capsys, command, str(path), *extra)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: a wavenumber sqrt(2 m |E - V|) / hbar underflows to 0")
+        assert not (tmp_path / "psi.csv").exists()
+
+    def test_overflowed_phase_exits_3_from_oracle(self, capsys, tmp_path):
+        # sin of an infinite phase raised ValueError: math domain error (exit 1).
+        path = tmp_path / "huge.spec"
+        path.write_text(spec_text(**PHASE_OVERFLOW))
+        code, out, err = run_cli(capsys, "oracle", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: the phase leaves the float64 range")

@@ -68,6 +68,13 @@ RIGHT_EXTREMUM_SPEC = WellSpec(
 )
 
 
+PHASE_OVERFLOW_SPEC = WellSpec(
+    hbar=6.056573106756008e116, mass=4.0980544923841734e133, v_m4=4.6838946297290186e182,
+    v_m2=7.104432341997065e-29, v_0=4.5498175852314566e192, v_2=7.104432341997065e-29,
+    v_4=4.6838946297290186e182, w_m2=1.8430637254727472e-07, w_0=3.184816202304822e-20,
+    w_2=1.8430637254727472e-07,
+)
+
 # Unguided levels (ground, excited) at tol_rel 1e-13, as the band-end bracket
 # gave them before find_level took a guess: the worked example, then
 # core-range symmetric, floor-detuned and asymmetric specs drawn from
@@ -180,6 +187,15 @@ class TestShoot:
         assert math.isfinite(result.residual)
         assert nodes(result) in (0, 1)
 
+    def test_overflowing_phase_is_refused(self):
+        # Valid, but 2 m |E - V| overflows in the wells and the barrier at
+        # the band top, so the phase is infinite there.
+        lo, hi = band(PHASE_OVERFLOW_SPEC)
+        with pytest.raises(AssumptionViolated, match="phase leaves the float64 range"):
+            shoot(PHASE_OVERFLOW_SPEC, hi - 1e-9 * (hi - lo))
+        with pytest.raises(AssumptionViolated, match="phase leaves the float64 range"):
+            find_level(PHASE_OVERFLOW_SPEC, Parity.GROUND)
+
     def test_wall_changes_sign_where_the_node_count_steps(self, example_spec):
         # Bisect the step from 0 to 1 nodes between the doublet's levels down
         # to adjacent floats; the wall value u = psi(x_3) = R sin(Theta) must
@@ -250,6 +266,59 @@ class TestFindLevel:
         assert bottom not in energies
         assert 1.26 < shots[-1].phase < 1.28
         assert repr(top) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "phase, reaches",
+        [
+            # Linear: the secant hits the crossing at 0.3, and the first
+            # widening lands an eighth of the way farther.
+            (lambda e: 0.75 * math.pi + 1e3 * (e - 0.3), [1.125]),
+            # Concave below the crossing: the secant (a Newton step) reaches
+            # half way, so the next end goes sixteen times as far again.
+            (
+                lambda e: 0.75 * math.pi + (1e3 * (e - 0.3) if e > 0.3 else -1e6 * (0.3 - e) ** 2),
+                [0.5625, 9.0],
+            ),
+        ],
+        ids=["linear", "concave"],
+    )
+    def test_first_widening_jumps_past_the_secant_crossing(
+        self, monkeypatch, example_spec, phase, reaches
+    ):
+        # The guess misses the ground level at 0.3 by 1e-6, millions of
+        # opening half-widths; each end after the opening pair lies the given
+        # multiple of that miss above the guess, and the last straddles.
+        shots = []
+
+        def recording_shoot(spec, energy):
+            shots.append(ShootResult(energy, phase(energy), math.nan))
+            return shots[-1]
+
+        monkeypatch.setattr(oracle, "shoot", recording_shoot)
+        guess = 0.3 - 1e-6
+        h = 1e-12 * guess
+        below, above = oracle._bracket(example_spec, guess, 1e-9, 1.0 - 1e-9, 0.75 * math.pi)
+        energies = [shot.energy for shot in shots]
+        assert energies[:2] == [guess - h, guess + h]
+        assert energies[2:] == pytest.approx([guess + r * 1e-6 for r in reaches], rel=1e-12)
+        assert (below, above) == (shots[-2], shots[-1])
+        assert below.phase <= 0.75 * math.pi < above.phase
+
+    def test_flat_opening_pair_widens_sixteenfold(self, monkeypatch, example_spec):
+        # The phase is flat around the guess, so the pair gives no secant.
+        shots = []
+
+        def recording_shoot(spec, energy):
+            shots.append(ShootResult(energy, 0.5 * math.pi + max(0.0, energy - 0.5), math.nan))
+            return shots[-1]
+
+        monkeypatch.setattr(oracle, "shoot", recording_shoot)
+        guess = 0.25
+        h = 1e-12 * guess
+        oracle._bracket(example_spec, guess, 1e-9, 1.0 - 1e-9, 0.75 * math.pi)
+        assert [shot.energy for shot in shots[:5]] == [
+            guess - h, guess + h, guess + 16.0 * h, guess + 256.0 * h, guess + 4096.0 * h
+        ]
 
     def test_steep_phase_step_is_sharpened(self, monkeypatch, example_spec):
         # The band is (0, 1) and the phase climbs through the one-node target
@@ -624,6 +693,37 @@ class TestCompare:
         assert excited <= 5
         assert len(calls) <= 10
 
+    def test_shoot_budget_over_a_core_sample(self, monkeypatch):
+        # Eight specs of each kind in the oracle benchmark's core ranges,
+        # where the closed-form levels miss by up to ~1e5 opening half-widths.
+        calls = []
+        real_shoot = oracle.shoot
+
+        def counting_shoot(spec, energy):
+            calls.append(energy)
+            return real_shoot(spec, energy)
+
+        monkeypatch.setattr(oracle, "shoot", counting_shoot)
+        rng = random.Random(0)
+        counts = []
+        for _ in range(8):
+            for spec in (
+                random_symmetric_spec(rng, a_range=(8.0, 15.0)),
+                random_symmetric_spec(
+                    rng, a_range=(8.0, 15.0), detune_scale=10.0 ** rng.uniform(-13.0, -9.0)
+                ),
+                asymmetric_spec(
+                    rng,
+                    a_target=rng.uniform(8.0, 12.0),
+                    eta=rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -6.0),
+                ),
+            ):
+                before = len(calls)
+                compare(spec)
+                counts.append(len(calls) - before)
+        assert sum(counts) / len(counts) <= 9.5
+        assert max(counts) <= 12
+
     def test_spec_is_reduced_once(self, monkeypatch, example_spec):
         # Only the closed form reduces the spec; find_level works from the
         # spec alone.  Every module binding of params.reduce is counted.
@@ -657,9 +757,11 @@ class TestCompare:
         for spec in specs:
             report = compare(spec, tol_rel)
             split = solve_double_well(spec).splitting
+            # The excited search starts from e1 moved by the ground level's miss.
+            shifted = split.e1 + (report.e0_exact - split.e0)
             for parity, exact, guess in (
                 (Parity.GROUND, report.e0_exact, split.e0),
-                (Parity.EXCITED, report.e1_exact, split.e1),
+                (Parity.EXCITED, report.e1_exact, shifted),
             ):
                 assert exact == find_level(spec, parity, tol_rel, guess=guess)
                 unguided = find_level(spec, parity, tol_rel)

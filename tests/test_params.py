@@ -154,6 +154,20 @@ class TestWavenumbers:
         root3 = math.sqrt(3.0)
         assert wavenumbers(example_spec, 0.25) == (root3, 1.0, root3, 1.0, root3)
 
+    @pytest.mark.parametrize(
+        "overrides, energy",
+        [
+            # 2 m (E - V) underflows to 0 in every region.
+            (dict(hbar=5.85e-82, mass=8.27e-155, v_m4=2.57e-187, v_0=3.17e-166,
+                  v_4=2.57e-187, w_m2=7.27e94, w_0=2.57e57, w_2=7.27e94), 3.87e-198),
+            # sqrt(2 m (E - V)) is positive, but dividing it by hbar underflows.
+            (dict(hbar=1e308, mass=1e-300), 0.25),
+        ],
+    )
+    def test_wavenumber_underflowing_to_zero_is_refused(self, example_spec, overrides, energy):
+        with pytest.raises(AssumptionViolated, match="underflows to 0"):
+            wavenumbers(replace(example_spec, **overrides), energy)
+
 
 class TestBoundStateExists:
     def test_small_coefficients_always_bind(self):
