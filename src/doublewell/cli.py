@@ -36,7 +36,7 @@ from .errors import (
 )
 from .isolated import newton_initial, newton_step, series_y
 from .params import WellSpec, load_spec
-from .tunneling import DoubleWellResult, Parity, coefficient_ratio, solve_double_well
+from .tunneling import DoubleWellResult, coefficient_ratio, solve_double_well
 
 __all__ = ["EXAMPLE_SPEC", "main"]
 
@@ -172,9 +172,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     from .wavefunc import assemble, sample, write_sample_csv
     spec = load_spec(args.spec)
     result = solve_double_well(spec)
-    parity = Parity(args.state)
-    solution = result.ground if parity == Parity.GROUND else result.excited
-    model = assemble(spec, result.reduced, solution)
+    model = assemble(spec, result.reduced, getattr(result, args.state))
     if args.range is not None:
         x_min, x_max = args.range
     else:

@@ -49,9 +49,9 @@ class AssumptionViolated(DoubleWellError, RuntimeError):
     """The closed form does not apply to this input: a first-order
     correction epsilon exceeded the trust threshold 0.1, or a result left
     the float64 range (an energy scale of ``params.reduce``, a report value,
-    an assembled wavefunction or an oracle shot's phase that overflows, a
-    barrier scale of ``params.reduce``, a wavenumber of
-    ``params.wavenumbers``, a coupling P or a half-splitting that
+    a wavenumber of ``params.wavenumbers``, an assembled wavefunction or an
+    oracle shot's phase that overflows, a barrier scale of
+    ``params.reduce``, a wavenumber, a coupling P or a half-splitting that
     underflows to 0)."""
 
 

@@ -32,11 +32,8 @@ from dataclasses import dataclass
 
 from .errors import AssumptionViolated, DegeneracyUnresolved, DomainError, LevelNotFound
 from .params import WellSpec, band, wavenumbers
-from .tunneling import Parity, solve_double_well
+from .tunneling import _EXCITED, _GROUND, Parity, solve_double_well
 from .wavefunc import assemble_at_energy, probabilities
-
-# Read once here: each Parity.X lookup is slow on Python 3.11.
-_GROUND, _EXCITED = Parity.GROUND, Parity.EXCITED
 
 
 @dataclass(slots=True)
@@ -91,7 +88,7 @@ def shoot(spec: WellSpec, energy: float) -> ShootResult:
     The shot has floor(phase / pi) interior nodes.
 
     Raises :class:`AssumptionViolated` when a wavenumber underflows to 0
-    (from :func:`wavenumbers`) or the phase overflows.
+    or overflows (from :func:`wavenumbers`), or the phase overflows.
     """
     kappa_m4, k_m2, kappa_0, k_2, kappa_4 = wavenumbers(spec, energy)
     try:

@@ -172,7 +172,8 @@ def wavenumbers(spec: WellSpec, energy: float) -> tuple[float, float, float, flo
     The band check is that all five kinetic terms are positive (NaN fails
     it); :class:`EnergyOutOfBand` is raised otherwise.  The least of them
     gives the smallest wavenumber, which callers divide by:
-    :class:`AssumptionViolated` is raised when it underflows to 0.
+    :class:`AssumptionViolated` is raised when it underflows to 0, or
+    when any wavenumber overflows to inf.
     """
     kinetic = (
         spec.v_m4 - energy,
@@ -193,13 +194,19 @@ def wavenumbers(spec: WellSpec, energy: float) -> tuple[float, float, float, flo
         )
     t_m4, t_m2, t_0, t_2, t_4 = kinetic
     # Written out: a comprehension here slows each oracle shoot by ~10%.
-    return (
+    waves = (
         math.sqrt(two_m * t_m4) / spec.hbar,
         math.sqrt(two_m * t_m2) / spec.hbar,
         math.sqrt(two_m * t_0) / spec.hbar,
         math.sqrt(two_m * t_2) / spec.hbar,
         math.sqrt(two_m * t_4) / spec.hbar,
     )
+    if math.inf in waves:
+        raise AssumptionViolated(
+            f"a wavenumber sqrt(2 m |E - V|) / hbar overflows at energy {energy!r}: "
+            f"{waves!r} with hbar={spec.hbar!r}, mass={spec.mass!r}"
+        )
+    return waves
 
 
 def bound_state_exists(alpha_inner: float, alpha_outer: float) -> bool:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .errors import AssumptionViolated, DomainError, NotSymmetric, PerturbationTooLarge
 from .isolated import IsolatedWellSolution, coupling, solve_wells
 from .params import ReducedParams, WellSpec, reduce
-from .tunneling import Parity, _check_trust, _probability_split, solve_r0
+from .tunneling import _GROUND, _check_trust, _probability_split, solve_r0
 
 
 @dataclass(slots=True)
@@ -116,7 +116,7 @@ def symmetric_base(spec: WellSpec) -> SymmetricBase:
     )
     f_coef = (sum_right - sum_left) / (2.0 * math.pi)
     g_coef = 1.0 - (sum_right + sum_left) / (2.0 * math.pi)
-    r0, p_small = solve_r0(Parity.GROUND, left.a_coef, right.a_coef, coupling(left, right).p_cap)
+    r0, p_small = solve_r0(_GROUND, left.a_coef, right.a_coef, coupling(left, right).p_cap)
     root_p = math.sqrt(p_small)
     a_sym = 0.5 * (left.a_coef + right.a_coef)
     delta_e = (2.0 * a_sym * reduced_params.k_0 / math.pi**2) * root_p

@@ -42,7 +42,7 @@ class Parity(str, enum.Enum):
 
 
 # Read once here: each Parity.X lookup is slow on Python 3.11.
-_PARITIES = (Parity.GROUND, Parity.EXCITED)
+_GROUND, _EXCITED = Parity.GROUND, Parity.EXCITED
 
 
 @dataclass(slots=True)
@@ -112,7 +112,7 @@ def solve_r0(parity: Parity, a_left: float, a_right: float, p_cap: float) -> tup
         )
     mean = 0.5 * (a_left + a_right)
     diff = 0.5 * (a_right - a_left)
-    if parity == Parity.GROUND:
+    if parity == _GROUND:
         sign, r = 1.0, max(a_left, a_right)
     else:
         sign, r = -1.0, min(a_left, a_right)
@@ -190,7 +190,7 @@ def correct_energy(
     turns each ground formula into the excited one at -d.  Raises
     :class:`AssumptionViolated` when either epsilon exceeds 0.1.
     """
-    s = 1.0 if parity == Parity.GROUND else -1.0
+    s = 1.0 if parity == _GROUND else -1.0
     d = 0.5 * (right_well.a_coef - left_well.a_coef)
     gap_left, gap_right = _stable_gaps(s * d, p_small)
     eps_left = gap_left / left_well.b_coef
@@ -249,7 +249,7 @@ def coefficient_ratio(
     """
     d_a = right_well.a_coef - left_well.a_coef
     p = solution.p_small
-    ground = solution.parity == Parity.GROUND
+    ground = solution.parity == _GROUND
     prefactor = (
         right_well.s_inner**2 * left_well.b_coef * left_well.c_coef
     ) / (left_well.s_inner**2 * right_well.b_coef * right_well.c_coef)
@@ -276,11 +276,10 @@ def solve_double_well(spec: WellSpec) -> DoubleWellResult:
             f"(b = {left.b_coef!r}, {right.b_coef!r}; c = {left.c_coef!r}, {right.c_coef!r}); "
             "the splitting cannot be resolved in float64"
         )
-    levels = []
-    for parity in _PARITIES:
-        r0, p_small = solve_r0(parity, left.a_coef, right.a_coef, coup.p_cap)
-        levels.append(correct_energy(parity, left, right, r0, p_small, reduced_params, spec))
-    ground, excited = levels
+    r0, p_small = solve_r0(_GROUND, left.a_coef, right.a_coef, coup.p_cap)
+    ground = correct_energy(_GROUND, left, right, r0, p_small, reduced_params, spec)
+    r0, p_small = solve_r0(_EXCITED, left.a_coef, right.a_coef, coup.p_cap)
+    excited = correct_energy(_EXCITED, left, right, r0, p_small, reduced_params, spec)
     return DoubleWellResult(
         spec, reduced_params, left, right, coup, ground, excited, splitting(ground, excited)
     )

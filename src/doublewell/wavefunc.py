@@ -27,15 +27,12 @@ from typing import TYPE_CHECKING, IO
 
 from .errors import AssumptionViolated, BadRange, DomainError, MatchingResidualTooLarge
 from .params import ReducedParams, WellSpec, wavenumbers
-from .tunneling import CoupledSolution, Parity
+from .tunneling import _EXCITED, _GROUND, CoupledSolution, Parity
 
 # numpy is imported inside the array paths only, so the scalar paths
 # (assemble, probabilities, and the oracle through them) never load it.
 if TYPE_CHECKING:
     import numpy as np
-
-# Read once here: each Parity.X lookup is slow on Python 3.11.
-_GROUND, _EXCITED = Parity.GROUND, Parity.EXCITED
 
 
 @dataclass(slots=True)

@@ -7,12 +7,19 @@ its positional count plus twice its keyword count exceeds 30, so any call
 with 16 or more keywords.  On Python 3.11 a plain function call costs
 ~0.2 us with 15 keywords and ~1.2 us with 16, and building the 17-field
 ``ReducedParams`` by keyword ~1.4 us against ~0.4 us positionally.
+
+A second guard keeps the doublet's parity in one cached pair: each
+``Parity.GROUND`` lookup goes through ``EnumType.__getattr__`` on Python
+3.11 (~200 ns against ~35 ns for a module global), so library functions
+compare against ``tunneling``'s ``_GROUND``/``_EXCITED``, which no other
+module rebinds.
 """
 
 import ast
 from pathlib import Path
 
 import doublewell
+from doublewell import Parity, tunneling
 
 SOURCES = sorted(Path(doublewell.__file__).parent.glob("*.py"))
 
@@ -86,4 +93,63 @@ def test_guard_flags_keyword_heavy_and_mapping_calls(tmp_path):
         "probe.py:2 hot -> f (16 keywords)",
         "probe.py:3 hot -> f (15 keywords)",
         "probe.py:5 hot -> f (a ** mapping)",
+    ]
+
+
+PAIR = {"_GROUND", "_EXCITED"}
+
+
+def parity_reads(path: Path) -> list[str]:
+    """``module:line what`` of each ``Parity.GROUND``/``Parity.EXCITED`` read
+    inside a function, each module-level binding of ``_GROUND``/``_EXCITED``
+    outside ``tunneling.py``, and each use of the retired ``_PARITIES``."""
+    found = []
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            if bound & PAIR and path.name != "tunneling.py":
+                found.append(f"{path.name}:{node.lineno} binds {', '.join(sorted(bound & PAIR))}")
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "Parity"
+                and node.attr in ("GROUND", "EXCITED")
+            ):
+                found.append(f"{path.name}:{node.lineno} {func.name} reads Parity.{node.attr}")
+    found += [
+        f"{path.name}:{node.lineno} uses _PARITIES"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "_PARITIES"
+    ]
+    return sorted(set(found))
+
+
+def test_parity_is_read_from_tunnelings_cached_pair():
+    found = [hit for path in SOURCES for hit in parity_reads(path)]
+    assert not found, (
+        "library functions compare against tunneling's module-level "
+        "_GROUND/_EXCITED, bound there only: " + "; ".join(found)
+    )
+    assert (tunneling._GROUND, tunneling._EXCITED) == (Parity.GROUND, Parity.EXCITED)
+
+
+def test_guard_flags_parity_lookups_and_copies(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "_GROUND, _EXCITED = Parity.GROUND, Parity.EXCITED\n"
+        "_PARITIES = (_GROUND, _EXCITED)\n"
+        "def hot(parity):\n"
+        "    return parity == Parity.EXCITED or parity == _GROUND\n",
+        encoding="utf-8",
+    )
+    assert parity_reads(probe) == [
+        "probe.py:1 binds _EXCITED, _GROUND",
+        "probe.py:2 uses _PARITIES",
+        "probe.py:4 hot reads Parity.EXCITED",
     ]

@@ -38,7 +38,7 @@ WAVENUMBER_UNDERFLOW = dict(
     v_m2=0.0, v_0=3.171613675936049e-166, v_2=0.0, v_4=2.572479528449615e-187,
     w_m2=7.267212473876286e94, w_0=2.5727080190749545e57, w_2=7.267212473876286e94,
 )
-PHASE_OVERFLOW = dict(
+WAVENUMBER_OVERFLOW = dict(
     hbar=6.056573106756008e116, mass=4.0980544923841734e133, v_m4=4.6838946297290186e182,
     v_m2=7.104432341997065e-29, v_0=4.5498175852314566e192, v_2=7.104432341997065e-29,
     v_4=4.6838946297290186e182, w_m2=1.8430637254727472e-07, w_0=3.184816202304822e-20,
@@ -798,10 +798,11 @@ class TestFloatRangeShots:
         assert err.startswith("error: a wavenumber sqrt(2 m |E - V|) / hbar underflows to 0")
         assert not (tmp_path / "psi.csv").exists()
 
-    def test_overflowed_phase_exits_3_from_oracle(self, capsys, tmp_path):
-        # sin of an infinite phase raised ValueError: math domain error (exit 1).
+    def test_overflowed_wavenumber_exits_3_from_oracle(self, capsys, tmp_path):
+        # An infinite wavenumber once made an infinite phase, and sin of it
+        # raised ValueError: math domain error (exit 1).
         path = tmp_path / "huge.spec"
-        path.write_text(spec_text(**PHASE_OVERFLOW))
+        path.write_text(spec_text(**WAVENUMBER_OVERFLOW))
         code, out, err = run_cli(capsys, "oracle", str(path))
         assert (code, out) == (3, "")
-        assert err.startswith("error: the phase leaves the float64 range")
+        assert err.startswith("error: a wavenumber sqrt(2 m |E - V|) / hbar overflows")

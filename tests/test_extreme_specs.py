@@ -1,19 +1,21 @@
-"""Seeded sweep over extreme specs: the closed form returns or refuses.
+"""Seeded sweep over extreme specs: every layer returns or refuses.
 
 Each drawn spec is valid, but its scales span most of float64: hbar and
 mass log-uniform in 1e±200, widths in 1e±150, potential steps from 1e-300
 up to 1e308, and three draws in ten a mirror-symmetric pair of wells.
-Wherever an intermediate overflows or underflows there, the closed form
-must refuse with a package error (a ``DoubleWellError``) rather than
-crash.  ``assemble`` and ``compare`` are not swept: they can still crash
-on such specs.
+Wherever an intermediate overflows or underflows there, the closed form,
+the perturbation layer, the assembled states and the oracle must refuse
+with a package error (a ``DoubleWellError``) rather than crash.  A state
+that assembles splits its probability as P_left + P_right = 1.
 """
 
+import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from doublewell import (
-    DoubleWellError, InvalidSpec, WellSpec, perturbed_levels, solve_double_well, symmetric_base,
+    DoubleWellError, InvalidSpec, WellSpec, assemble, compare, perturbed_levels, probabilities,
+    solve_double_well, symmetric_base,
 )
 
 
@@ -53,8 +55,21 @@ def test_closed_form_returns_or_refuses(fields):
         spec = WellSpec(**fields)
     except InvalidSpec:
         assume(False)  # rounding merged two potentials, or one overflowed
-    for run in (solve_double_well, lambda spec: perturbed_levels(symmetric_base(spec), 0.0)):
+    try:
+        perturbed_levels(symmetric_base(spec), 0.0)
+    except DoubleWellError:
+        pass
+    try:
+        result = solve_double_well(spec)
+    except DoubleWellError:
+        return
+    for level in (result.ground, result.excited):
         try:
-            run(spec)
+            left, right = probabilities(assemble(spec, result.reduced, level))
         except DoubleWellError:
-            pass
+            continue
+        assert left + right == pytest.approx(1.0, rel=0.0, abs=1e-12)
+    try:
+        compare(spec)
+    except DoubleWellError:
+        pass

@@ -68,7 +68,7 @@ RIGHT_EXTREMUM_SPEC = WellSpec(
 )
 
 
-PHASE_OVERFLOW_SPEC = WellSpec(
+WAVENUMBER_OVERFLOW_SPEC = WellSpec(
     hbar=6.056573106756008e116, mass=4.0980544923841734e133, v_m4=4.6838946297290186e182,
     v_m2=7.104432341997065e-29, v_0=4.5498175852314566e192, v_2=7.104432341997065e-29,
     v_4=4.6838946297290186e182, w_m2=1.8430637254727472e-07, w_0=3.184816202304822e-20,
@@ -187,14 +187,26 @@ class TestShoot:
         assert math.isfinite(result.residual)
         assert nodes(result) in (0, 1)
 
-    def test_overflowing_phase_is_refused(self):
-        # Valid, but 2 m |E - V| overflows in the wells and the barrier at
-        # the band top, so the phase is infinite there.
-        lo, hi = band(PHASE_OVERFLOW_SPEC)
+    def test_overflowing_wavenumber_is_refused(self):
+        # Valid, but 2 m |E - V| overflows in the walls and the barrier at the
+        # closed-form ground level, and in the wells and the barrier at the
+        # band top.  A shot at e0 once read residual inf with no error.
+        lo, hi = band(WAVENUMBER_OVERFLOW_SPEC)
+        e0 = solve_double_well(WAVENUMBER_OVERFLOW_SPEC).splitting.e0
+        for energy in (e0, hi - 1e-9 * (hi - lo)):
+            with pytest.raises(AssumptionViolated, match="wavenumber .* overflows"):
+                shoot(WAVENUMBER_OVERFLOW_SPEC, energy)
+        with pytest.raises(AssumptionViolated, match="wavenumber .* overflows"):
+            find_level(WAVENUMBER_OVERFLOW_SPEC, Parity.GROUND)
+
+    def test_overflowing_phase_is_refused(self, example_spec):
+        # Every wavenumber is finite, but k w overflows in wells 1e308 wide.
+        wide = replace(example_spec, w_m2=1e308, w_2=1e308)
+        lo, hi = band(wide)
         with pytest.raises(AssumptionViolated, match="phase leaves the float64 range"):
-            shoot(PHASE_OVERFLOW_SPEC, hi - 1e-9 * (hi - lo))
+            shoot(wide, hi - 1e-9 * (hi - lo))
         with pytest.raises(AssumptionViolated, match="phase leaves the float64 range"):
-            find_level(PHASE_OVERFLOW_SPEC, Parity.GROUND)
+            find_level(wide, Parity.GROUND)
 
     def test_wall_changes_sign_where_the_node_count_steps(self, example_spec):
         # Bisect the step from 0 to 1 nodes between the doublet's levels down

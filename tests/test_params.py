@@ -168,6 +168,20 @@ class TestWavenumbers:
         with pytest.raises(AssumptionViolated, match="underflows to 0"):
             wavenumbers(replace(example_spec, **overrides), energy)
 
+    @pytest.mark.parametrize(
+        "overrides, energy",
+        [
+            # 2 m (E - V) overflows under the walls and the barrier.
+            (dict(hbar=6.06e116, mass=4.10e133, v_m4=4.68e182, v_0=4.55e192, v_4=4.68e182),
+             1.30e114),
+            # sqrt(2 m (E - V)) is finite, but dividing it by a subnormal hbar overflows.
+            (dict(hbar=1e-310), 0.25),
+        ],
+    )
+    def test_wavenumber_overflowing_to_inf_is_refused(self, example_spec, overrides, energy):
+        with pytest.raises(AssumptionViolated, match="overflows at energy"):
+            wavenumbers(replace(example_spec, **overrides), energy)
+
 
 class TestBoundStateExists:
     def test_small_coefficients_always_bind(self):

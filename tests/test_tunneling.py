@@ -19,7 +19,7 @@ from doublewell import (
     solve_r0,
     tunneling,
 )
-from genspecs import asymmetric_spec, mixed_spec_batch, random_symmetric_spec
+from genspecs import EXAMPLE_SPEC, asymmetric_spec, mixed_spec_batch, random_symmetric_spec
 from oracles import damped_fixed_point
 
 
@@ -232,6 +232,25 @@ class TestSplitting:
         for (w1, d1), (w2, d2) in zip(zip(widths, deltas), zip(widths[1:], deltas[1:])):
             step = (w2 - w1) * example_spec.w_2
             assert d2 / d1 == pytest.approx(math.exp(-kappa * step), rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "spec", [EXAMPLE_SPEC, *mixed_spec_batch(7, 200)], ids=["example", *map(str, range(200))]
+    )
+    def test_mirror_image_keeps_levels_and_swaps_sides(self, spec):
+        # Swapping the outer walls, the floors and the well widths swaps the
+        # wells, which the closed form treats alike: the energies keep every
+        # bit, and the side probabilities swap up to rounding.
+        mirror = replace(
+            spec, v_m4=spec.v_4, v_m2=spec.v_2, v_2=spec.v_m2, v_4=spec.v_m4,
+            w_m2=spec.w_2, w_2=spec.w_m2,
+        )
+        res, image = solve_double_well(spec), solve_double_well(mirror)
+        assert image.splitting.e0 == res.splitting.e0
+        assert image.splitting.e1 == res.splitting.e1
+        assert image.splitting.delta_e == res.splitting.delta_e
+        for level, seen in ((res.ground, image.ground), (res.excited, image.excited)):
+            assert abs(seen.prob_left - level.prob_right) <= 4.0 * math.ulp(level.prob_right)
+            assert abs(seen.prob_right - level.prob_left) <= 4.0 * math.ulp(level.prob_left)
 
 
 class TestCoefficientRatio:
