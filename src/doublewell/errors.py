@@ -50,9 +50,11 @@ class AssumptionViolated(DoubleWellError, RuntimeError):
     correction epsilon exceeded the trust threshold 0.1, or a result left
     the float64 range (an energy scale of ``params.reduce``, a report value,
     a wavenumber of ``params.wavenumbers``, an assembled wavefunction or an
-    oracle shot's phase that overflows, a barrier scale of
+    oracle shot's phase or amplitude that overflows, a barrier scale of
     ``params.reduce``, a wavenumber, a coupling P or a half-splitting that
-    underflows to 0)."""
+    underflows to 0), or float64 rounding lost what an assembled state
+    needs (an inner phase that cancels to 0 or below, or a barrier too
+    narrow at its position to hold the state's extremum)."""
 
 
 class NotSymmetric(DoubleWellError, ValueError):

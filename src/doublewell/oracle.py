@@ -88,7 +88,8 @@ def shoot(spec: WellSpec, energy: float) -> ShootResult:
     The shot has floor(phase / pi) interior nodes.
 
     Raises :class:`AssumptionViolated` when a wavenumber underflows to 0
-    or overflows (from :func:`wavenumbers`), or the phase overflows.
+    or overflows (from :func:`wavenumbers`), or the phase or the amplitude
+    (so the residual) overflows.
     """
     kappa_m4, k_m2, kappa_0, k_2, kappa_4 = wavenumbers(spec, energy)
     try:
@@ -112,7 +113,13 @@ def shoot(spec: WellSpec, energy: float) -> ShootResult:
             f"the phase leaves the float64 range at energy {energy!r}: wavenumbers "
             f"{(kappa_m4, k_m2, kappa_0, k_2, kappa_4)!r}"
         ) from None
-    return ShootResult(energy, theta, kappa_4 * (v + u))
+    residual = kappa_4 * (v + u)
+    if not math.isfinite(residual):
+        raise AssumptionViolated(
+            f"the amplitude leaves the float64 range at energy {energy!r}: residual "
+            f"{residual!r} with wavenumbers {(kappa_m4, k_m2, kappa_0, k_2, kappa_4)!r}"
+        )
+    return ShootResult(energy, theta, residual)
 
 
 def _muller(points: list[tuple[float, float]]) -> float:

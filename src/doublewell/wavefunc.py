@@ -65,6 +65,11 @@ class WavefunctionModel:
     amp_4: float
 
 
+# Rounding error of an inner phase pi - pi y - phi_outer, y = k w / pi: a
+# few ulps of pi from each rounded operation behind k w.
+_PHASE_ROUNDING = 16.0 * math.ulp(math.pi)
+
+
 def _assemble_core(
     spec: WellSpec,
     reduced: ReducedParams,
@@ -94,6 +99,14 @@ def _assemble_core(
     extremum_right = x_3 - (0.5 * math.pi - phase_3) / k_2
     barrier_node = x_m1 + r_left / kappa_0
     if not (x_m1 < barrier_node < x_1):
+        # An offset inside (0, kappa_0 w_0) puts the extremum inside the
+        # barrier, so only rounding of the positions moves it out; a barrier
+        # narrower than an ulp of its position holds no float at all.
+        if 0.0 < r_left < kappa_0 * spec.w_0 or not x_m1 < x_1:
+            raise AssumptionViolated(
+                f"the barrier ({x_m1!r}, {x_1!r}) is too narrow for float64 at its "
+                f"position to hold its extremum {r_left / kappa_0!r} past x_m1"
+            )
         raise MatchingResidualTooLarge(
             f"barrier extremum {barrier_node!r} falls outside the barrier "
             f"({x_m1!r}, {x_1!r}); inputs are inconsistent"
@@ -101,6 +114,13 @@ def _assemble_core(
     sin_m1 = math.sin(phase_m1)
     sin_1 = math.sin(phase_1)
     if sin_m1 <= 0.0 or sin_1 <= 0.0:
+        # pi - pi y cancels: an inner phase within a few ulps of pi below 0
+        # is a small positive phase that rounding lost, not a bad energy.
+        if min(phase_m1, phase_1) >= -_PHASE_ROUNDING:
+            raise AssumptionViolated(
+                f"an inner phase rounds to 0 or below: phase_m1={phase_m1!r}, "
+                f"phase_1={phase_1!r}: pi - k w cancels in float64"
+            )
         raise DomainError(
             f"inner phase out of range: phase_m1={phase_m1!r}, phase_1={phase_1!r}"
         )
@@ -196,10 +216,10 @@ def _field(model: WavefunctionModel, x, slope: bool):
     """psi, or dpsi/dx when ``slope``, of a doublet level at a scalar or an
     array of positions of any shape, which is only read; NaN gives NaN.
     Each region is one slice, written in place, and a boundary belongs to
-    the region on its right: a non-decreasing grid is cut by one
-    searchsorted; any other (NaN fails the order check) is grouped by
-    region with a stable radix sort of the region indices and scattered
-    back, NaN sorting past every edge into the last region."""
+    the region on its right: every grid is cut by one searchsorted of the
+    edges.  A grid that is not non-decreasing (NaN fails the order check)
+    is first sorted by position, filled in that sorted copy and scattered
+    back; NaN sorts past every edge into the last region."""
     import numpy as np
 
     xs = np.asarray(x, dtype=float)
@@ -208,13 +228,12 @@ def _field(model: WavefunctionModel, x, slope: bool):
     order = None
     if (points[1:] >= points[:-1]).all():
         # A lone NaN passes the check, lands in the last region and stays NaN.
-        cuts = np.searchsorted(points, edges, side="left")
         out = np.empty_like(points)
     else:
-        regions = np.searchsorted(edges, points, side="right")
-        order = np.argsort(regions.astype(np.uint8), kind="stable")
-        cuts = np.cumsum(np.bincount(regions, minlength=len(pieces)))[:-1]
+        # Equal positions give equal values, so the sort need not be stable.
+        order = np.argsort(points)
         points = out = points[order]
+    cuts = np.searchsorted(points, edges, side="left")
     for piece, lo, hi in zip(pieces, (0, *cuts), (*cuts, len(points))):
         if lo < hi:
             _fill(piece, points[lo:hi], out[lo:hi], slope)
@@ -316,11 +335,11 @@ def assemble_at_energy(
 def evaluate(model: WavefunctionModel, x):
     """psi(x) of a doublet level; accepts a scalar or an array of any shape.
 
-    Each region is evaluated as one slice, in place in the result: a
-    non-decreasing grid is cut into slices, any other grid is first grouped
-    by region.  Region dispatch is half-open with each boundary belonging
-    to the region on its right; continuity makes the choice
-    observationally irrelevant.
+    Each region is evaluated as one slice, in place in the result: every
+    grid is cut into slices by one searchsorted of the edges, after any
+    grid that is not non-decreasing is sorted by position.  Region dispatch
+    is half-open with each boundary belonging to the region on its right;
+    continuity makes the choice observationally irrelevant.
     """
     return _field(model, x, False)
 

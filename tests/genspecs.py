@@ -45,6 +45,34 @@ def child_env():
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + rest if rest else "")}
 
 
+# Decimal exponent ranges of an extreme spec's nine scales (hbar and mass,
+# the three widths, then the four potential steps), and the share of
+# extreme specs whose right well mirrors the left.
+EXTREME_EXPONENTS = ((-200.0, 200.0),) * 2 + ((-150.0, 150.0),) * 3 + ((-300.0, 308.0),) * 4
+EXTREME_MIRROR_SHARE = 0.3
+
+
+def extreme_fields(scales: tuple, mirror: bool) -> dict:
+    """Spec fields from the nine scales of ``EXTREME_EXPONENTS`` and whether
+    the right well mirrors the left; the left floor is 0."""
+    hbar, mass, w_m2, w_0, w_2, w_m3, w_m1, w_1, w_3 = scales
+    if mirror:
+        v_2, v_4, w_2 = 0.0, w_m3, w_m2
+    else:
+        v_2 = w_m1 - w_1
+        v_4 = v_2 + w_3
+    return dict(
+        hbar=hbar, mass=mass, v_m4=w_m3, v_m2=0.0, v_0=w_m1, v_2=v_2, v_4=v_4,
+        w_m2=w_m2, w_0=w_0, w_2=w_2,
+    )
+
+
+def random_extreme_fields(rng: random.Random) -> dict:
+    """``extreme_fields`` with every scale log-uniform in its range."""
+    scales = tuple(10.0 ** rng.uniform(lo, hi) for lo, hi in EXTREME_EXPONENTS)
+    return extreme_fields(scales, rng.random() < EXTREME_MIRROR_SHARE)
+
+
 def _well_shape(alpha_inner: float, ratio_outer: float) -> tuple[float, float, float]:
     """Phase root and its cosine for arcsine coefficients (ai, ai/sqrt(ro))."""
     alpha_outer = alpha_inner / math.sqrt(ratio_outer)

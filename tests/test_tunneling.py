@@ -22,6 +22,10 @@ from doublewell import (
 from genspecs import EXAMPLE_SPEC, asymmetric_spec, mixed_spec_batch, random_symmetric_spec
 from oracles import damped_fixed_point
 
+# The worked example and a mixed batch, for the exact symmetries of a spec.
+BATCH = [EXAMPLE_SPEC, *mixed_spec_batch(7, 200)]
+BATCH_IDS = ["example", *map(str, range(200))]
+
 
 class TestFixedPoint:
     @pytest.mark.parametrize("a_left,a_right,p_cap", [
@@ -233,9 +237,7 @@ class TestSplitting:
             step = (w2 - w1) * example_spec.w_2
             assert d2 / d1 == pytest.approx(math.exp(-kappa * step), rel=1e-3)
 
-    @pytest.mark.parametrize(
-        "spec", [EXAMPLE_SPEC, *mixed_spec_batch(7, 200)], ids=["example", *map(str, range(200))]
-    )
+    @pytest.mark.parametrize("spec", BATCH, ids=BATCH_IDS)
     def test_mirror_image_keeps_levels_and_swaps_sides(self, spec):
         # Swapping the outer walls, the floors and the well widths swaps the
         # wells, which the closed form treats alike: the energies keep every
@@ -251,6 +253,39 @@ class TestSplitting:
         for level, seen in ((res.ground, image.ground), (res.excited, image.excited)):
             assert abs(seen.prob_left - level.prob_right) <= 4.0 * math.ulp(level.prob_right)
             assert abs(seen.prob_right - level.prob_left) <= 4.0 * math.ulp(level.prob_left)
+
+
+    @pytest.mark.parametrize("spec", BATCH, ids=BATCH_IDS)
+    def test_dyadic_scalings_scale_levels_exactly(self, spec):
+        # Lengths x 2^j with energies / 4^j, or mass x 2^j with energies
+        # / 2^j, leave every dimensionless input of the closed form as it
+        # was, and a power of 2 scales a float exactly: the levels scale by
+        # that power of 2, bit for bit.  (hbar x 2^j is left out: reduce
+        # squares pi hbar with ** 2, which can move alpha by one ulp.)
+        res = solve_double_well(spec)
+        potentials = ("v_m4", "v_m2", "v_0", "v_2", "v_4")
+        for j in (-5, -1, 1, 3):
+            lengths = {
+                name: math.ldexp(getattr(spec, name), j) for name in ("w_m2", "w_0", "w_2", "x_m3")
+            }
+            for scaled, power in (
+                (lengths, -2 * j),
+                ({"mass": math.ldexp(spec.mass, j)}, -j),
+            ):
+                energies = {name: math.ldexp(getattr(spec, name), power) for name in potentials}
+                image = solve_double_well(replace(spec, **scaled, **energies)).splitting
+                assert image.e0 == math.ldexp(res.splitting.e0, power)
+                assert image.e1 == math.ldexp(res.splitting.e1, power)
+                assert image.delta_e == math.ldexp(res.splitting.delta_e, power)
+
+    @pytest.mark.parametrize("spec", BATCH, ids=BATCH_IDS)
+    def test_translation_keeps_levels(self, spec):
+        res = solve_double_well(spec)
+        for shift in (-1e3, -0.3, 2.5):
+            image = solve_double_well(replace(spec, x_m3=spec.x_m3 + shift)).splitting
+            assert image.e0 == res.splitting.e0
+            assert image.e1 == res.splitting.e1
+            assert image.delta_e == res.splitting.delta_e
 
 
 class TestCoefficientRatio:

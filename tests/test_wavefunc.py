@@ -226,9 +226,9 @@ def _grids(draw, edges):
 
 
 class TestGridPaths:
-    """A non-decreasing grid is cut into one slice per region; any other
-    grid is first grouped by region.  Both give the same bits for every
-    point."""
+    """Every grid is cut into one slice per region; a grid that is not
+    non-decreasing is first sorted by position.  Either way each point
+    gets the same bits."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), index=st.integers(min_value=0, max_value=1))
