@@ -22,6 +22,7 @@ inner steps and W_1 = V_0 - V_2, W_3 = V_4 - V_2 the right well's.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, dataclass, fields
 
 from .errors import AssumptionViolated, DomainError, EnergyOutOfBand, InvalidSpec
@@ -112,26 +113,40 @@ class ReducedParams:
     gamma_3: float
 
 
+# The least normal float64: a subnormal result carries fewer than 53 bits.
+_NORMAL_MIN = sys.float_info.min
+
+
 def reduce(spec: WellSpec) -> ReducedParams:
     """Compute all dimensionless parameters of the two wells.
 
     Raises :class:`AssumptionViolated` when an energy scale K_i leaves the
-    float64 range (overflows, or underflows to 0), or a barrier scale beta
-    underflows to 0."""
+    float64 range, or it, the scale (pi hbar)^2 / (2 m) or a square behind
+    them is subnormal (lost digits every level inherits), or a barrier
+    scale beta underflows to 0.  Squares are products, so hbar x 2^j scales
+    every K_i by 4^j exactly."""
     w_m3 = spec.v_m4 - spec.v_m2
     w_m1 = spec.v_0 - spec.v_m2
     w_1 = spec.v_0 - spec.v_2
     w_3 = spec.v_4 - spec.v_2
+    pi_hbar = math.pi * spec.hbar
+    sq_hbar = pi_hbar * pi_hbar
+    sq_m2 = spec.w_m2 * spec.w_m2
+    sq_0 = spec.w_0 * spec.w_0
+    sq_2 = spec.w_2 * spec.w_2
     try:
-        scale = (math.pi * spec.hbar) ** 2 / (2.0 * spec.mass)
-        k_m2 = scale / spec.w_m2**2
-        k_0 = scale / spec.w_0**2
-        k_2 = scale / spec.w_2**2
-    except (OverflowError, ZeroDivisionError):  # a square overflowed or underflowed to 0
+        scale = sq_hbar / (2.0 * spec.mass)
+        k_m2 = scale / sq_m2
+        k_0 = scale / sq_0
+        k_2 = scale / sq_2
+    except ZeroDivisionError:  # a width's square underflowed to 0
         scale = k_m2 = k_0 = k_2 = math.inf
-    if not (0.0 < min(scale, k_m2, k_0, k_2) and max(scale, k_m2, k_0, k_2) < math.inf):
+    if not (
+        _NORMAL_MIN <= min(sq_hbar, sq_m2, sq_0, sq_2, scale, k_m2, k_0, k_2)
+        and max(scale, k_m2, k_0, k_2) < math.inf
+    ):
         raise AssumptionViolated(
-            f"an energy scale pi^2 hbar^2 / (2 m w^2) leaves the float64 range: "
+            f"an energy scale pi^2 hbar^2 / (2 m w^2) is subnormal or leaves the float64 range: "
             f"hbar={spec.hbar!r}, mass={spec.mass!r}, "
             f"w_m2={spec.w_m2!r}, w_0={spec.w_0!r}, w_2={spec.w_2!r}"
         )

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING, IO
 
 from .errors import AssumptionViolated, BadRange, DomainError, MatchingResidualTooLarge
@@ -64,6 +65,9 @@ class WavefunctionModel:
     amp_2: float
     amp_4: float
 
+
+# Continuity residual allowed at a boundary, relative to the peak amplitude.
+_MATCHING_GATE = 1e-6
 
 # Rounding error of an inner phase pi - pi y - phi_outer, y = k w / pi: a
 # few ulps of pi from each rounded operation behind k w.
@@ -148,6 +152,15 @@ def _assemble_core(
     model.amp_0 *= scale
     model.amp_2 *= scale
     model.amp_4 *= scale
+    # An ulp of the barrier's position moves the state there by kappa_0
+    # times that ulp, relative to its peak: past the matching gate, float64
+    # cannot place the state at the barrier, whatever the inputs.
+    spacing = max(math.ulp(x_m1), math.ulp(x_1))
+    if spacing * kappa_0 > _MATCHING_GATE:
+        raise AssumptionViolated(
+            f"float64 spacing {spacing!r} at the barrier ({x_m1!r}, {x_1!r}) is too "
+            f"coarse to place the state: kappa_0 times it exceeds {_MATCHING_GATE!r}"
+        )
     _check_matching(model)
     return model
 
@@ -278,7 +291,7 @@ def _check_matching(model: WavefunctionModel) -> None:
         )
         if residual > worst:
             worst, worst_at = residual, x
-    if worst > 1e-6:
+    if worst > _MATCHING_GATE:
         raise MatchingResidualTooLarge(
             f"continuity residual {worst!r} at x={worst_at!r} exceeds 1e-6 of the "
             "peak amplitude; inputs are inconsistent"
@@ -396,25 +409,172 @@ def sample(
 # once for long tables.
 _CSV_BLOCK_ROWS = 1024
 
+# Each value's text is %.17g's layout rebuilt from exact integers.  N, its
+# 17 significant digits round(|x| 10^(16-E)) for decimal exponent E, is cut
+# at the point into leading digits and a fraction, whose trailing zeros are
+# stripped.  The text is a head template, filled from those integers, then
+# a tail: the separator, after "e%+03d" % E in exponent notation.  A head's
+# kind is base + c, where c = 2 (fraction > 0) + (fraction starts with 0)
+# picks integer, fraction or zero-padded fraction.  The base is 0 for fixed
+# notation at 0 <= E < 17; 2, 2, 3, 4 at E = -1..-4, where the fraction is
+# all of N (c = 2 at -1, 3 below); and 4 + 3 d in exponent notation, whose
+# one leading digit d is written into the head.  Kind 0 is %.17g itself,
+# for values the integers cannot decide.  Each kind takes a subset of the
+# arguments (leading digits, fraction width, fraction); every kind is
+# repeated after "-", which %.17g never takes.
+_CSV_HEADS = (
+    ("%.17g", (1, 0, 0)),
+    ("%d", (1, 0, 0)),
+    ("%d.%d", (1, 0, 1)),
+    ("%d.%0*d", (1, 1, 1)),
+    ("0.%d", (0, 0, 1)),
+    ("0.0%d", (0, 0, 1)),
+    ("0.00%d", (0, 0, 1)),
+    ("0.000%d", (0, 0, 1)),
+) + tuple(
+    head
+    for digit in range(1, 10)
+    for head in ((f"{digit}", (0, 0, 0)), (f"{digit}.%d", (0, 0, 1)), (f"{digit}.%0*d", (0, 1, 1)))
+)
+# Exponents with an exact 10^(16-E) pair: both halves stay normal, and
+# Veltkamp's split of 10^(16-E) stays finite.  Values take the integer path
+# from 1e-250 to 1e250, whose floor(log10) lies inside this range.
+_CSV_MIN_EXP, _CSV_MAX_EXP = -251, 250
+
+
+@cache
+def _csv_tables():
+    """The writer's constants as arrays, built on first use: for each E
+    from ``_CSV_MAX_EXP`` down, 10^(16-E) as the pair hi + lo (hi correctly
+    rounded, lo the rounded rest, both from Python ints) with hi's Veltkamp
+    halves; the int64 powers 10^0..10^18; for E from -5 to 17 (E outside
+    takes the nearer end) the digits of N after the point before
+    stripping, and the head base (-1: exponent notation); the heads,
+    unsigned then signed, with their argument slots; the tails, "," and
+    "\\n" then each exponent's pair."""
+    import numpy as np
+
+    pairs = []
+    for k in range(16 - _CSV_MAX_EXP, 17 - _CSV_MIN_EXP):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi = num / den
+        p, q = hi.as_integer_ratio()
+        split = hi * 134217729.0
+        hi_top = split - (split - hi)
+        pairs.append((hi, hi_top, hi - hi_top, (num * q - p * den) / (den * q)))
+    rows = range(-5, 18)
+    exps = ("", *("e%+03d" % e for e in range(_CSV_MIN_EXP, _CSV_MAX_EXP + 1)))
+    return (
+        np.array(pairs).T.copy(),
+        np.array([10**j for j in range(19)], dtype=np.int64),
+        np.array([16 - e if -4 <= e < 17 else 16 for e in rows], dtype=np.int64),
+        np.array([0 if 0 <= e < 17 else {-1: 2, -2: 2, -3: 3, -4: 4}.get(e, -1) for e in rows]),
+        np.array([sign + head for sign in ("", "-") for head, _ in _CSV_HEADS], dtype=object),
+        np.array([slots for _, slots in _CSV_HEADS] * 2, dtype=bool),
+        np.array([e + end for e in exps for end in ",\n"], dtype=object),
+    )
+
+
+def _csv_digits(values, pairs, pow10):
+    """Per value of a flat float64 array: whether its 17 significant digits
+    are decided exactly, its decimal exponent E, and those digits as the
+    int64 N = round(|x| 10^(16-E)) in [10^16, 10^17) (10^16 and E = 0 where
+    they are not decided)."""
+    import numpy as np
+
+    mag = np.abs(values)
+    exact = (mag >= 1e-250) & (mag < 1e250)  # False on 0, NaN and inf
+    mag[~exact] = 1.0
+    exp = np.floor(np.log10(mag)).astype(np.int64)
+    hi, hi_top, hi_low, lo = (row.take(_CSV_MAX_EXP - exp) for row in pairs)
+    # Dekker's product: mag * hi is prod plus its rounding error, exactly.
+    # prod is an integer (>= 2^53); rest, that error plus mag * lo, is good
+    # to ~1e-14 at a magnitude of ~20 at most.
+    prod = mag * hi
+    split = mag * 134217729.0
+    top = split - (split - mag)
+    low = mag - top
+    rest = ((top * hi_top - prod) + top * hi_low + low * hi_top) + low * hi_low + mag * lo
+    near = np.rint(rest)
+    digits = prod.astype(np.int64) + near.astype(np.int64)
+    # A misjudged log10 puts the product outside [10^16, 10^17); a near-tie
+    # needs more than rest's accuracy to round.
+    exact &= ((prod - 1e16) + rest >= 0.0) & (digits < pow10[17])
+    exact &= np.abs(np.abs(rest - near) - 0.5) > 1e-6
+    digits[~exact] = pow10[16]
+    exp[~exact] = 0
+    return exact, exp, digits
+
+
+def _csv_block(values) -> str:
+    """CSV text of a flat float64 array of whole rows, byte for byte
+    ``%.17g`` joined by commas with a newline after every third value."""
+    import numpy as np
+
+    pairs, pow10, after_point, bases, heads, slots, tails = _csv_tables()
+    exact, exp, digits = _csv_digits(values, pairs, pow10)
+    row = exp + 5
+    width = after_point.take(row, mode="clip")
+    cut = pow10.take(width, mode="clip")
+    lead, frac = np.divmod(digits, cut)
+    base = bases.take(row, mode="clip")
+    scientific = base < 0
+    kind = np.where(scientific, 4 + 3 * lead, base) + 2 * (frac > 0) + (frac * 10 < cut)
+    kind += np.signbit(values) * len(_CSV_HEADS)
+    kind[~exact] = 0
+    ends = np.flatnonzero(frac // 10 * 10 == frac)
+    if len(ends):  # strip the fraction's trailing zeros
+        kept = frac[ends]
+        zeros = np.zeros_like(kept)
+        for step in (16, 8, 4, 2, 1):
+            shorter = kept // pow10[step]
+            whole = shorter * pow10[step] == kept
+            kept = np.where(whole, shorter, kept)
+            zeros += step * whole
+        frac[ends] = kept
+        width[ends] -= zeros
+    used = slots.take(kind, axis=0)
+    args = np.stack((lead, width, frac), axis=1).ravel().compress(used.ravel()).tolist()
+    fallback = np.flatnonzero(~exact)
+    if len(fallback):  # %.17g's one slot takes the float itself
+        count = used.sum(axis=1)
+        starts = np.cumsum(count) - count
+        for at, value in zip(starts[fallback].tolist(), values[fallback].tolist()):
+            args[at] = value
+    ending = np.where(scientific & exact, 2 * (exp - _CSV_MIN_EXP) + 2, 0)
+    ending[2::3] += 1
+    text = np.stack((heads.take(kind), tails.take(ending)), axis=1).ravel().tolist()
+    return "".join(text) % tuple(args)
+
 
 def write_sample_csv(table: np.ndarray, destination: str | IO[str]) -> None:
     """Write a sample table as CSV: header ``x,psi,dpsi``, 17 significant
     digits, LF line endings.
 
-    Rows are formatted ``_CSV_BLOCK_ROWS`` at a time by one ``%`` call on
-    Python floats and written with one ``write`` per block, so memory stays
-    flat however long the table is; ``%.17g`` gives the same bytes as
-    ``format(x, ".17g")``.  Raises :class:`BadRange` for a table that is not
-    of shape (n, 3), before ``destination`` is opened or written.
+    Rows are formatted ``_CSV_BLOCK_ROWS`` at a time and written with one
+    ``write`` per block, so memory stays flat however long the table is.
+    A block is one ``%`` call on Python ints.  numpy forms each value's
+    decimal exponent E and its 17 significant digits as an exact integer
+    (a Dekker product with 10^(16-E) held as a pair of floats), and picks
+    a printf template that lays them out as ``%.17g`` does: ``%d``,
+    ``%d.%d``, ``%d.%0*d`` or ``0.00%d`` in fixed notation; in exponent
+    notation the leading digit, then ``.%d`` or ``.%0*d``, then the exponent
+    as text (``e-05``); each optionally after ``-``.  Zeros, NaN,
+    infinities, magnitudes outside 1e-250..1e250 and products too near a
+    rounding tie take the ``%.17g`` template itself, so every value has
+    the bytes of ``format(x, ".17g")``.  Raises :class:`BadRange` for a
+    table that is not of shape (n, 3), before ``destination`` is opened or
+    written.
     """
     if table.ndim != 2 or table.shape[1] != 3:
         raise BadRange(f"need a sample table of shape (n, 3), got {table.shape!r}")
+    import numpy as np
 
     def _write(fh: IO[str]) -> None:
         fh.write("x,psi,dpsi\n")
         for start in range(0, len(table), _CSV_BLOCK_ROWS):
             block = table[start : start + _CSV_BLOCK_ROWS]
-            fh.write(("%.17g,%.17g,%.17g\n" * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(_csv_block(np.ascontiguousarray(block, dtype=np.float64).ravel()))
 
     if isinstance(destination, str):
         with open(destination, "w", encoding="utf-8", newline="") as fh:

@@ -55,6 +55,23 @@ AMPLITUDE_OVERFLOW = dict(
     w_m2=514484343.6919823, w_0=2.04046076552649e33, w_2=514484343.6919823,
 )
 
+# Found by tests/census_extreme.py (40,000 draws, seed 5): a barrier a few
+# ulps wide at its position, 1.97e111, where one ulp times kappa_0 is 2.5e-5
+# of the state's peak, past the matching gate.
+BARRIER_FEW_ULPS = dict(
+    hbar=2.4925444606839516e-48, mass=1.5163701615053965e-194, v_m4=2.48494411363478e301,
+    v_m2=0.0, v_0=1.842427427073967e-102, v_2=0.0, v_4=2.48494411363478e301,
+    w_m2=1.9743920984867996e111, w_0=9.251246972588423e96, w_2=1.9743920984867996e111,
+)
+# Same census: (pi hbar)^2 = 2.3e-316 is subnormal, so the closed-form
+# levels lose digits that the wavenumbers keep, and the assembled inner
+# phase came out below 0 (DomainError, exit 2) on a valid spec.
+SUBNORMAL_SCALE = dict(
+    hbar=4.805416005718376e-159, mass=1.241155114070724e-193, v_m4=5.949215138525082e92,
+    v_m2=0.0, v_0=580737317965.0558, v_2=0.0, v_4=5.949215138525082e92,
+    w_m2=8.540321145254858e-49, w_0=8.956424897616356e67, w_2=8.540321145254858e-49,
+)
+
 
 def _exit_code(spec: WellSpec, command: str, *options: str) -> int:
     """Exit code of ``doublewell <command> <spec file> <options>``, with
@@ -105,8 +122,8 @@ def test_closed_form_returns_or_refuses(fields):
 
 
 @pytest.mark.parametrize(
-    "fields", [PHASE_CANCELLED, BARRIER_BELOW_ULP, AMPLITUDE_OVERFLOW],
-    ids=["phase-cancelled", "barrier-below-ulp", "amplitude-overflow"],
+    "fields", [PHASE_CANCELLED, BARRIER_BELOW_ULP, AMPLITUDE_OVERFLOW, BARRIER_FEW_ULPS],
+    ids=["phase-cancelled", "barrier-below-ulp", "amplitude-overflow", "barrier-few-ulps"],
 )
 def test_rounded_away_state_is_refused_as_float_range(fields):
     # Float rounding, not an inconsistent input: AssumptionViolated (exit 3),
@@ -125,3 +142,11 @@ def test_overflowing_amplitude_is_refused_by_the_shot():
     spec = WellSpec(**AMPLITUDE_OVERFLOW)
     with pytest.raises(AssumptionViolated, match="amplitude leaves the float64 range"):
         shoot(spec, solve_double_well(spec).splitting.e0)
+
+
+def test_subnormal_energy_scale_is_refused():
+    # The spec is valid; float64 cannot hold its energy scale to 53 bits.
+    spec = WellSpec(**SUBNORMAL_SCALE)
+    with pytest.raises(AssumptionViolated, match="subnormal"):
+        solve_double_well(spec)
+    assert _exit_code(spec, "sample") == 3

@@ -130,8 +130,16 @@ class TestReduce:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"w_0": 1e308}, {"w_m2": 1e-300}, {"hbar": 1e-200}],
-        ids=["square-overflows", "square-underflows", "scale-underflows"],
+        [
+            {"w_0": 1e308}, {"w_m2": 1e-300}, {"hbar": 1e-200},
+            # Finite and nonzero, but subnormal: lost digits every level inherits.
+            {"hbar": 1e-158, "mass": 1e-200}, {"hbar": 1e-5, "mass": 1e300},
+            {"mass": 1e290, "w_0": 1e10}, {"hbar": 1e-150, "w_0": 1e-160},
+        ],
+        ids=[
+            "square-overflows", "square-underflows", "scale-underflows",
+            "hbar-square-subnormal", "scale-subnormal", "k-0-subnormal", "width-square-subnormal",
+        ],
     )
     def test_energy_scale_outside_float64_is_refused(self, overrides):
         with pytest.raises(AssumptionViolated, match="leaves the float64 range"):

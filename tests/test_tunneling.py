@@ -257,11 +257,12 @@ class TestSplitting:
 
     @pytest.mark.parametrize("spec", BATCH, ids=BATCH_IDS)
     def test_dyadic_scalings_scale_levels_exactly(self, spec):
-        # Lengths x 2^j with energies / 4^j, or mass x 2^j with energies
-        # / 2^j, leave every dimensionless input of the closed form as it
-        # was, and a power of 2 scales a float exactly: the levels scale by
-        # that power of 2, bit for bit.  (hbar x 2^j is left out: reduce
-        # squares pi hbar with ** 2, which can move alpha by one ulp.)
+        # Lengths x 2^j with energies / 4^j, mass x 2^j with energies
+        # / 2^j, or hbar x 2^j with energies x 4^j leave every dimensionless
+        # input of the closed form as it was, and a power of 2 scales a float
+        # exactly: the levels scale by that power of 2, bit for bit.  (For
+        # hbar, reduce squares pi hbar as a product: ** 2 can round it
+        # differently and move alpha by one ulp, as on batch index 131.)
         res = solve_double_well(spec)
         potentials = ("v_m4", "v_m2", "v_0", "v_2", "v_4")
         for j in (-5, -1, 1, 3):
@@ -271,6 +272,7 @@ class TestSplitting:
             for scaled, power in (
                 (lengths, -2 * j),
                 ({"mass": math.ldexp(spec.mass, j)}, -j),
+                ({"hbar": math.ldexp(spec.hbar, j)}, 2 * j),
             ):
                 energies = {name: math.ldexp(getattr(spec, name), power) for name in potentials}
                 image = solve_double_well(replace(spec, **scaled, **energies)).splitting

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from doublewell import (
@@ -58,6 +58,31 @@ def _wide_table():
     rng = np.random.default_rng(2500)
     shape = (2500, 3)
     return rng.standard_normal(shape) * 10.0 ** rng.uniform(-300.0, 300.0, shape)
+
+
+def _switch_table():
+    """Values where %.17g's layout or rounding switches, both signs: zeros,
+    NaN, infinities, the subnormal, normal and finite ends, the integer
+    writer's range ends 1e-250 and 1e250 and every power of ten from 1e-5
+    (exponent notation below) to 1e17 (exponent notation from), each with
+    its float neighbours; three-digit exponents; exact 17-digit ties."""
+    values = [0.0, math.nan, math.inf, 5e-324, 1.7976931348623157e308,
+              1000000000000000.25, 1000000000000000.75, 1.5e100, 2.5e-100,
+              1.2345678901234567e-123, 9.8700000000000001e299]
+    edges = [2.2250738585072014e-308, 1e-250, 1e250, *(float(f"1e{e}") for e in range(-5, 18))]
+    for edge in edges:
+        values += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+    values += [-value for value in values]
+    values += [0.0] * (-len(values) % 3)
+    return np.array(values).reshape(-1, 3)
+
+
+# Any float64: raw bit patterns (every exponent alike) or hypothesis's
+# floats (biased to edge cases).
+_ANY_FLOAT = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+    st.floats(),
+)
 
 
 def _states():
@@ -387,6 +412,21 @@ class TestSampleTable:
                              ids=["edge-values", "three-blocks", "empty"])
     def test_csv_matches_per_row_reference(self, make_table):
         table = make_table()
+        buf = io.StringIO()
+        write_sample_csv(table, buf)
+        assert buf.getvalue() == _reference_csv(table)
+
+    def test_csv_matches_per_row_reference_at_switch_points(self):
+        table = _switch_table()
+        buf = io.StringIO()
+        write_sample_csv(table, buf)
+        assert buf.getvalue() == _reference_csv(table)
+
+    @seed(2800)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(rows=st.lists(st.tuples(_ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT), max_size=40))
+    def test_csv_matches_per_row_reference_on_any_floats(self, rows):
+        table = np.array(rows, dtype=float).reshape(-1, 3)
         buf = io.StringIO()
         write_sample_csv(table, buf)
         assert buf.getvalue() == _reference_csv(table)
