@@ -415,26 +415,17 @@ _CSV_BLOCK_ROWS = 1024
 # stripped.  The text is a head template, filled from those integers, then
 # a tail: the separator, after "e%+03d" % E in exponent notation.  A head's
 # kind is base + c, where c = 2 (fraction > 0) + (fraction starts with 0)
-# picks integer, fraction or zero-padded fraction.  The base is 0 for fixed
-# notation at 0 <= E < 17; 2, 2, 3, 4 at E = -1..-4, where the fraction is
-# all of N (c = 2 at -1, 3 below); and 4 + 3 d in exponent notation, whose
-# one leading digit d is written into the head.  Kind 0 is %.17g itself,
-# for values the integers cannot decide.  Each kind takes a subset of the
-# arguments (leading digits, fraction width, fraction); every kind is
-# repeated after "-", which %.17g never takes.
+# picks integer, fraction or zero-padded fraction.  Fixed notation holds at
+# -4 <= E < 17, with base 0 from E = 0 and max(2, -E) below, where the
+# fraction is all of N (c = 2 at -1, 3 below); exponent notation takes base
+# 4 + 3 d, whose one leading digit d is written into the head.  Kind 0 takes
+# no integers: it stands for values the integers cannot decide, whose text
+# is %.17g's own.  A head takes the leading digits when it starts with %d,
+# the fraction width at *, and the fraction after the point; every kind is
+# repeated after "-".
 _CSV_HEADS = (
-    ("%.17g", (1, 0, 0)),
-    ("%d", (1, 0, 0)),
-    ("%d.%d", (1, 0, 1)),
-    ("%d.%0*d", (1, 1, 1)),
-    ("0.%d", (0, 0, 1)),
-    ("0.0%d", (0, 0, 1)),
-    ("0.00%d", (0, 0, 1)),
-    ("0.000%d", (0, 0, 1)),
-) + tuple(
-    head
-    for digit in range(1, 10)
-    for head in ((f"{digit}", (0, 0, 0)), (f"{digit}.%d", (0, 0, 1)), (f"{digit}.%0*d", (0, 1, 1)))
+    "", "%d", "%d.%d", "%d.%0*d", "0.%d", "0.0%d", "0.00%d", "0.000%d",
+    *(digit + point for digit in "123456789" for point in ("", ".%d", ".%0*d")),
 )
 # Exponents with an exact 10^(16-E) pair: both halves stay normal, and
 # Veltkamp's split of 10^(16-E) stays finite.  Values take the integer path
@@ -447,11 +438,9 @@ def _csv_tables():
     """The writer's constants as arrays, built on first use: for each E
     from ``_CSV_MAX_EXP`` down, 10^(16-E) as the pair hi + lo (hi correctly
     rounded, lo the rounded rest, both from Python ints) with hi's Veltkamp
-    halves; the int64 powers 10^0..10^18; for E from -5 to 17 (E outside
-    takes the nearer end) the digits of N after the point before
-    stripping, and the head base (-1: exponent notation); the heads,
-    unsigned then signed, with their argument slots; the tails, "," and
-    "\\n" then each exponent's pair."""
+    halves; the int64 powers 10^0..10^18; the heads, unsigned then signed,
+    with the integers each takes (leading digits, fraction width,
+    fraction); the tails, "," and "\\n" then each exponent's pair."""
     import numpy as np
 
     pairs = []
@@ -462,24 +451,22 @@ def _csv_tables():
         split = hi * 134217729.0
         hi_top = split - (split - hi)
         pairs.append((hi, hi_top, hi - hi_top, (num * q - p * den) / (den * q)))
-    rows = range(-5, 18)
+    slots = [(h.startswith("%d"), "*" in h, "%" in h.partition(".")[2]) for h in _CSV_HEADS]
     exps = ("", *("e%+03d" % e for e in range(_CSV_MIN_EXP, _CSV_MAX_EXP + 1)))
     return (
         np.array(pairs).T.copy(),
         np.array([10**j for j in range(19)], dtype=np.int64),
-        np.array([16 - e if -4 <= e < 17 else 16 for e in rows], dtype=np.int64),
-        np.array([0 if 0 <= e < 17 else {-1: 2, -2: 2, -3: 3, -4: 4}.get(e, -1) for e in rows]),
-        np.array([sign + head for sign in ("", "-") for head, _ in _CSV_HEADS], dtype=object),
-        np.array([slots for _, slots in _CSV_HEADS] * 2, dtype=bool),
+        np.array([sign + head for sign in ("", "-") for head in _CSV_HEADS], dtype=object),
+        np.array(slots * 2, dtype=bool),
         np.array([e + end for e in exps for end in ",\n"], dtype=object),
     )
 
 
 def _csv_digits(values, pairs, pow10):
-    """Per value of a flat float64 array: whether its 17 significant digits
-    are decided exactly, its decimal exponent E, and those digits as the
-    int64 N = round(|x| 10^(16-E)) in [10^16, 10^17) (10^16 and E = 0 where
-    they are not decided)."""
+    """For a flat float64 array: the indices of the values whose 17
+    significant digits the integers cannot decide, and per value its
+    decimal exponent E and those digits as the int64 N = round(|x|
+    10^(16-E)) in [10^16, 10^17) (10^16 and E = 0 where undecided)."""
     import numpy as np
 
     mag = np.abs(values)
@@ -501,9 +488,10 @@ def _csv_digits(values, pairs, pow10):
     # needs more than rest's accuracy to round.
     exact &= ((prod - 1e16) + rest >= 0.0) & (digits < pow10[17])
     exact &= np.abs(np.abs(rest - near) - 0.5) > 1e-6
-    digits[~exact] = pow10[16]
-    exp[~exact] = 0
-    return exact, exp, digits
+    undecided = np.flatnonzero(~exact)
+    digits[undecided] = pow10[16]
+    exp[undecided] = 0
+    return undecided, exp, digits
 
 
 def _csv_block(values) -> str:
@@ -511,17 +499,15 @@ def _csv_block(values) -> str:
     ``%.17g`` joined by commas with a newline after every third value."""
     import numpy as np
 
-    pairs, pow10, after_point, bases, heads, slots, tails = _csv_tables()
-    exact, exp, digits = _csv_digits(values, pairs, pow10)
-    row = exp + 5
-    width = after_point.take(row, mode="clip")
+    pairs, pow10, heads, slots, tails = _csv_tables()
+    undecided, exp, digits = _csv_digits(values, pairs, pow10)
+    fixed = (exp >= -4) & (exp < 17)
+    width = np.where(fixed, 16 - exp, 16)
     cut = pow10.take(width, mode="clip")
     lead, frac = np.divmod(digits, cut)
-    base = bases.take(row, mode="clip")
-    scientific = base < 0
-    kind = np.where(scientific, 4 + 3 * lead, base) + 2 * (frac > 0) + (frac * 10 < cut)
-    kind += np.signbit(values) * len(_CSV_HEADS)
-    kind[~exact] = 0
+    base = np.where(fixed, np.where(exp < 0, np.maximum(2, -exp), 0), 4 + 3 * lead)
+    kind = base + 2 * (frac > 0) + (frac * 10 < cut) + np.signbit(values) * len(_CSV_HEADS)
+    kind[undecided] = 0
     ends = np.flatnonzero(frac // 10 * 10 == frac)
     if len(ends):  # strip the fraction's trailing zeros
         kept = frac[ends]
@@ -535,15 +521,12 @@ def _csv_block(values) -> str:
         width[ends] -= zeros
     used = slots.take(kind, axis=0)
     args = np.stack((lead, width, frac), axis=1).ravel().compress(used.ravel()).tolist()
-    fallback = np.flatnonzero(~exact)
-    if len(fallback):  # %.17g's one slot takes the float itself
-        count = used.sum(axis=1)
-        starts = np.cumsum(count) - count
-        for at, value in zip(starts[fallback].tolist(), values[fallback].tolist()):
-            args[at] = value
-    ending = np.where(scientific & exact, 2 * (exp - _CSV_MIN_EXP) + 2, 0)
+    ending = np.where(fixed, 0, 2 * (exp - _CSV_MIN_EXP) + 2)
     ending[2::3] += 1
     text = np.stack((heads.take(kind), tails.take(ending)), axis=1).ravel().tolist()
+    # Kind 0's head is replaced by the value's own text, which holds no %.
+    for at, value in zip(undecided.tolist(), values[undecided].tolist()):
+        text[2 * at] = format(value, ".17g")
     return "".join(text) % tuple(args)
 
 
@@ -561,8 +544,8 @@ def write_sample_csv(table: np.ndarray, destination: str | IO[str]) -> None:
     notation the leading digit, then ``.%d`` or ``.%0*d``, then the exponent
     as text (``e-05``); each optionally after ``-``.  Zeros, NaN,
     infinities, magnitudes outside 1e-250..1e250 and products too near a
-    rounding tie take the ``%.17g`` template itself, so every value has
-    the bytes of ``format(x, ".17g")``.  Raises :class:`BadRange` for a
+    rounding tie are written as their own ``format(x, ".17g")`` text, so
+    every value has those bytes.  Raises :class:`BadRange` for a
     table that is not of shape (n, 3), before ``destination`` is opened or
     written.
     """

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import doublewell
@@ -173,6 +174,30 @@ def asymmetric_spec(
         w_2=w_2,
         x_m3=rng.uniform(-2.0, 2.0),
     )
+
+
+def dyadic_images(spec: WellSpec) -> list[tuple[WellSpec, int]]:
+    """Exact dyadic maps of a spec, each with the power of 2 that scales
+    its energies: lengths x 2^j with energies / 4^j, mass x 2^j with
+    energies / 2^j, and hbar x 2^j with energies x 4^j, for j = -5, -1, 1
+    and 3.  Each leaves every dimensionless input of the closed form as it
+    was, and a power of 2 scales a float exactly."""
+    images = []
+    for j in (-5, -1, 1, 3):
+        lengths = {
+            name: math.ldexp(getattr(spec, name), j) for name in ("w_m2", "w_0", "w_2", "x_m3")
+        }
+        for scaled, power in (
+            (lengths, -2 * j),
+            ({"mass": math.ldexp(spec.mass, j)}, -j),
+            ({"hbar": math.ldexp(spec.hbar, j)}, 2 * j),
+        ):
+            energies = {
+                name: math.ldexp(getattr(spec, name), power)
+                for name in ("v_m4", "v_m2", "v_0", "v_2", "v_4")
+            }
+            images.append((replace(spec, **scaled, **energies), power))
+    return images
 
 
 def mixed_spec_batch(seed: int, count: int) -> list[WellSpec]:

@@ -27,7 +27,9 @@ from doublewell import (
 )
 from doublewell import params
 from doublewell.params import band
-from genspecs import asymmetric_spec, random_symmetric_spec
+from genspecs import (
+    EXAMPLE_SPEC, asymmetric_spec, dyadic_images, mixed_spec_batch, random_symmetric_spec,
+)
 from oracles import EXAMPLE_E0_EXACT, EXAMPLE_E1_EXACT, mp_levels
 
 UNBOUND_SPEC = WellSpec(
@@ -676,7 +678,37 @@ class TestGuess:
             assert tuple(find_level(spec, parity) for parity in Parity) == levels
 
 
+# The worked example and a mixed batch, for the exact maps of a spec.
+BATCH = [EXAMPLE_SPEC, *mixed_spec_batch(7, 40)]
+BATCH_IDS = ["example", *map(str, range(40))]
+# compare's fields that are energies.
+LEVELS = ("e0_approx", "e1_approx", "delta_e_approx", "e0_exact", "e1_exact", "delta_e_exact")
+
+
 class TestCompare:
+    @pytest.mark.parametrize("spec", BATCH, ids=BATCH_IDS)
+    def test_dyadic_scalings_scale_levels_exactly(self, spec):
+        # The levels scale by the map's power of 2, bit for bit.  The exact
+        # ratio need not keep its bits: the state is normalised by the square
+        # root of a norm that the map scales (within 2 ulps seen).
+        report = compare(spec)
+        for image_spec, power in dyadic_images(spec):
+            image = compare(image_spec)
+            for name in LEVELS:
+                assert getattr(image, name) == math.ldexp(getattr(report, name), power), name
+            assert abs(image.ratio_exact - report.ratio_exact) <= 4 * math.ulp(report.ratio_exact)
+
+    @pytest.mark.parametrize("spec", BATCH, ids=BATCH_IDS)
+    def test_translation_keeps_levels(self, spec):
+        # The levels keep their bits; the exact ratio moves with the rounding
+        # of the shifted positions.
+        report = compare(spec)
+        for shift in (-1e3, -0.3, 2.5):
+            image = compare(replace(spec, x_m3=spec.x_m3 + shift))
+            for name in LEVELS:
+                assert getattr(image, name) == getattr(report, name), name
+            assert image.ratio_exact == pytest.approx(report.ratio_exact, rel=1e-12, abs=0.0)
+
     def test_shoot_budget(self, monkeypatch, example_spec):
         # compare finds each level once, through the module's find_level and
         # shoot, within a shoot budget per level and in total.

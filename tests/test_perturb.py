@@ -24,8 +24,28 @@ from doublewell import (
     symmetric_base,
     two_level_check,
 )
-from genspecs import EXAMPLE_SPEC, asymmetric_spec, random_symmetric_spec
+from genspecs import (
+    EXAMPLE_SPEC, asymmetric_spec, dyadic_images, mixed_spec_batch, random_symmetric_spec,
+)
 from oracles import example_constants
+
+
+def _has_symmetric_base(spec):
+    try:
+        symmetric_base(spec)
+    except NotSymmetric:
+        return False
+    return True
+
+
+# The worked example and the specs of a mixed batch that symmetric_base
+# takes (within its 1e-9 detuning tolerance), for the exact maps of a spec.
+BATCH = [EXAMPLE_SPEC, *mixed_spec_batch(7, 200)]
+SYMMETRIC = [
+    pytest.param(spec, id=name)
+    for name, spec in zip(["example", *map(str, range(200))], BATCH)
+    if _has_symmetric_base(spec)
+]
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +258,28 @@ def _finite_difference_shifts(spec, h):
     return {
         key: (plus[key] - minus[key]) / (2.0 * h) * h / center[key] for key in center
     }
+
+
+class TestDyadicScalings:
+    @pytest.mark.parametrize("spec", SYMMETRIC)
+    def test_energies_scale_and_ratios_keep_their_bits(self, spec):
+        # Every energy of the layer scales by the map's power of 2, bit for
+        # bit, and every dimensionless quantity keeps its bits.
+        base = symmetric_base(spec)
+        for image_spec, power in dyadic_images(spec):
+            image = symmetric_base(image_spec)
+            for name in ("delta_e", "e_bar", "min_depth"):
+                assert getattr(image, name) == math.ldexp(getattr(base, name), power), name
+            for name in ("f_coef", "g_coef", "a_sym", "p_small"):
+                assert getattr(image, name) == getattr(base, name), name
+            for v in (0.5, 1.0, 2.0):
+                levels = perturbed_levels(base, v * base.delta_e)
+                seen = perturbed_levels(image, v * image.delta_e)
+                for name in ("delta_v", "e_left", "e_right", "e0", "e1"):
+                    assert getattr(seen, name) == math.ldexp(getattr(levels, name), power), name
+                for name in ("v_ratio", "z_asym", "prob_ratio"):
+                    assert getattr(seen, name) == getattr(levels, name), name
+            assert invert_ratio(image, 3.0) == math.ldexp(invert_ratio(base, 3.0), power)
 
 
 class TestDeltaLedger:

@@ -19,7 +19,9 @@ from doublewell import (
     solve_r0,
     tunneling,
 )
-from genspecs import EXAMPLE_SPEC, asymmetric_spec, mixed_spec_batch, random_symmetric_spec
+from genspecs import (
+    EXAMPLE_SPEC, asymmetric_spec, dyadic_images, mixed_spec_batch, random_symmetric_spec,
+)
 from oracles import damped_fixed_point
 
 # The worked example and a mixed batch, for the exact symmetries of a spec.
@@ -257,28 +259,15 @@ class TestSplitting:
 
     @pytest.mark.parametrize("spec", BATCH, ids=BATCH_IDS)
     def test_dyadic_scalings_scale_levels_exactly(self, spec):
-        # Lengths x 2^j with energies / 4^j, mass x 2^j with energies
-        # / 2^j, or hbar x 2^j with energies x 4^j leave every dimensionless
-        # input of the closed form as it was, and a power of 2 scales a float
-        # exactly: the levels scale by that power of 2, bit for bit.  (For
-        # hbar, reduce squares pi hbar as a product: ** 2 can round it
-        # differently and move alpha by one ulp, as on batch index 131.)
+        # The levels scale by the map's power of 2, bit for bit.  (For hbar,
+        # reduce squares pi hbar as a product: ** 2 can round it differently
+        # and move alpha by one ulp, as on batch index 131.)
         res = solve_double_well(spec)
-        potentials = ("v_m4", "v_m2", "v_0", "v_2", "v_4")
-        for j in (-5, -1, 1, 3):
-            lengths = {
-                name: math.ldexp(getattr(spec, name), j) for name in ("w_m2", "w_0", "w_2", "x_m3")
-            }
-            for scaled, power in (
-                (lengths, -2 * j),
-                ({"mass": math.ldexp(spec.mass, j)}, -j),
-                ({"hbar": math.ldexp(spec.hbar, j)}, 2 * j),
-            ):
-                energies = {name: math.ldexp(getattr(spec, name), power) for name in potentials}
-                image = solve_double_well(replace(spec, **scaled, **energies)).splitting
-                assert image.e0 == math.ldexp(res.splitting.e0, power)
-                assert image.e1 == math.ldexp(res.splitting.e1, power)
-                assert image.delta_e == math.ldexp(res.splitting.delta_e, power)
+        for image_spec, power in dyadic_images(spec):
+            image = solve_double_well(image_spec).splitting
+            assert image.e0 == math.ldexp(res.splitting.e0, power)
+            assert image.e1 == math.ldexp(res.splitting.e1, power)
+            assert image.delta_e == math.ldexp(res.splitting.delta_e, power)
 
     @pytest.mark.parametrize("spec", BATCH, ids=BATCH_IDS)
     def test_translation_keeps_levels(self, spec):

@@ -60,6 +60,21 @@ def _wide_table():
     return rng.standard_normal(shape) * 10.0 ** rng.uniform(-300.0, 300.0, shape)
 
 
+def _block_edge_table():
+    """Two full blocks and one row of ordinary values, with the values the
+    exact integers cannot decide as the first and the last values of every
+    block, so on both sides of each block edge."""
+    undecided = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-251, 1e250,
+                 1.7976931348623157e308, -1.7976931348623157e308,
+                 1000000000000000.25, 1000000000000000.75]
+    values = np.random.default_rng(2049).standard_normal(3 * (2 * _CSV_BLOCK_ROWS + 1))
+    for start in range(0, len(values), 3 * _CSV_BLOCK_ROWS):
+        block = values[start : start + 3 * _CSV_BLOCK_ROWS]
+        block[: len(undecided)] = undecided[: len(block)]
+        block[-len(undecided) :] = undecided[-len(block) :]
+    return values.reshape(-1, 3)
+
+
 def _switch_table():
     """Values where %.17g's layout or rounding switches, both signs: zeros,
     NaN, infinities, the subnormal, normal and finite ends, the integer
@@ -408,8 +423,10 @@ class TestSampleTable:
         assert buf.getvalue().startswith("x,psi,dpsi\n")
         assert buf.getvalue().count("\n") == 4
 
-    @pytest.mark.parametrize("make_table", [_edge_table, _wide_table, lambda: np.empty((0, 3))],
-                             ids=["edge-values", "three-blocks", "empty"])
+    @pytest.mark.parametrize(
+        "make_table", [_edge_table, _wide_table, _block_edge_table, lambda: np.empty((0, 3))],
+        ids=["edge-values", "three-blocks", "undecided-at-block-edges", "empty"],
+    )
     def test_csv_matches_per_row_reference(self, make_table):
         table = make_table()
         buf = io.StringIO()
