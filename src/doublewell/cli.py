@@ -29,7 +29,6 @@ import json
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import fields
 
 from .errors import (
     AssumptionViolated, DegeneracyUnresolved, DoubleWellError, LevelNotFound, NotSymmetric,
@@ -56,7 +55,7 @@ EXAMPLE_SPEC = WellSpec(
 )
 
 
-# Report keys that differ from the dataclass field they come from.
+# Report keys that differ from the record field they come from.
 RENAMED = {
     "y_cap": "y", "u_cap": "u", "a_coef": "a", "b_coef": "b", "c_coef": "c",
     "p_cap": "p", "v_ratio": "v",
@@ -64,10 +63,10 @@ RENAMED = {
 
 
 def _section(obj, names: Sequence[str] | None = None) -> dict:
-    """Report section of a result dataclass: the named attributes (default:
+    """Report section of a result record: the named attributes (default:
     every field in declaration order) under their report keys."""
     if names is None:
-        names = [f.name for f in fields(obj)]
+        names = obj.__match_args__
     section = {}
     for name in names:
         section[RENAMED.get(name, name)] = getattr(obj, name)
@@ -75,7 +74,7 @@ def _section(obj, names: Sequence[str] | None = None) -> dict:
 
 
 def build_report(result: DoubleWellResult) -> dict:
-    spec_names = [f.name for f in fields(result.spec)] + ["x_m1", "x_1", "x_3"]
+    spec_names = [*result.spec.__match_args__, "x_m1", "x_1", "x_3"]
     report = {
         "spec": _section(result.spec, spec_names),
         "reduced": _section(result.reduced),

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .errors import DomainError, NoConvergence, SeriesUnreliable
-from .params import ReducedParams, bound_state_exists
+from .params import ReducedParams, bound_state_exists, record
 
 #: Relative step tolerance of the phase Newton solve and the barrier fixed point.
 TOL = 1e-13
@@ -36,7 +35,7 @@ TOL = 1e-13
 MAX_ITER_Y = 50
 
 
-@dataclass(slots=True)
+@record
 class IsolatedWellSolution:
     """Converged phase and derived constants of one well in isolation."""
 
@@ -54,7 +53,7 @@ class IsolatedWellSolution:
     c_coef: float
 
 
-@dataclass(slots=True)
+@record
 class BarrierCoupling:
     """Squared through-barrier coupling P of two isolated wells."""
 

@@ -28,15 +28,14 @@ Used to quantify the error of the closed-form approximation via
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import AssumptionViolated, DegeneracyUnresolved, DomainError, LevelNotFound
-from .params import WellSpec, band, wavenumbers
+from .params import WellSpec, band, record, wavenumbers
 from .tunneling import _EXCITED, _GROUND, Parity, solve_double_well
 from .wavefunc import assemble_at_energy, probabilities
 
 
-@dataclass(slots=True)
+@record
 class ShootResult:
     """One propagation: the energy, the phase Theta at the right wall (the
     interior node count is floor(Theta / pi)) and the decay residual
@@ -47,7 +46,7 @@ class ShootResult:
     residual: float
 
 
-@dataclass(slots=True)
+@record
 class OracleComparison:
     """Approximation-vs-exact error report.
 

@@ -23,12 +23,106 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields
 
 from .errors import AssumptionViolated, DomainError, EnergyOutOfBand, InvalidSpec
 
 
-@dataclass(frozen=True, slots=True)
+# What ``@dataclass(slots=True)`` generates for a record.  Its globals are
+# ``cls``, the frozen field store ``_set`` and the ``_defaults`` of __init__.
+_METHODS = """\
+def __init__(self, {params}):
+{stores}
+def __repr__(self):
+    return type(self).__qualname__ + f"({reprs})"
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({values}) == ({others})
+    return NotImplemented"""
+# ``frozen=True`` adds dataclasses' frozen methods and its list pickle state.
+_FROZEN_METHODS = """
+def __hash__(self):
+    return hash(({values}))
+def __setattr__(self, name, value):
+    if type(self) is cls or name in {names!r}:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {{name!r}}")
+    super(cls, self).__setattr__(name, value)
+def __delattr__(self, name):
+    if type(self) is cls or name in {names!r}:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {{name!r}}")
+    super(cls, self).__delattr__(name)
+def __getstate__(self):
+    return [{values}]
+def __setstate__(self, state):
+    for name, value in zip({names!r}, state):
+        _set(self, name, value)"""
+
+
+class _Metadata:
+    """A record's class-level ``__dataclass_fields__`` or ``__dataclass_params__``.
+
+    On first read it builds a ``make_dataclass`` twin with the record's field
+    names, annotation strings, defaults and ``frozen``, and stores the twin's
+    two attributes on the record in place of both descriptors, so only a
+    process that asks for the metadata imports the dataclass module."""
+
+    def __init__(self, attr: str, fields: list, frozen: bool) -> None:
+        self.attr, self.fields, self.frozen = attr, fields, frozen
+
+    def __get__(self, obj, owner: type):
+        from dataclasses import make_dataclass
+
+        twin = make_dataclass(owner.__name__, self.fields, frozen=self.frozen, slots=True)
+        owner.__dataclass_fields__ = twin.__dataclass_fields__
+        owner.__dataclass_params__ = twin.__dataclass_params__
+        return getattr(owner, self.attr)
+
+
+def record(cls: type | None = None, *, frozen: bool = False):
+    """Class decorator that builds what ``@dataclass(slots=True)`` builds.
+
+    The fields are the annotated class attributes, in order; a class-level
+    value is that field's default.  The new class has ``__slots__``, an
+    ``__init__`` with one store per field (then ``__post_init__``, if the
+    class defines one), ``__repr__``, ``__eq__``, ``__match_args__`` and
+    ``__hash__ = None``.  With ``frozen=True``, assignment and deletion raise
+    ``FrozenInstanceError``, instances hash by their field tuple, and the
+    fields pickle as a list.  The dataclass metadata is built on demand
+    (:class:`_Metadata`), so ``fields``, ``replace``, ``asdict`` and
+    ``is_dataclass`` accept records.
+    """
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen)
+    own, names = vars(cls), tuple(cls.__annotations__)
+    defaults = {name: own[name] for name in names if name in own}
+    fields = [(name, kind, defaults[name]) if name in defaults else (name, kind)
+              for name, kind in cls.__annotations__.items()]
+    body = {k: v for k, v in own.items() if k not in (*names, "__dict__", "__weakref__")}
+    body.update(
+        __qualname__=cls.__qualname__, __slots__=names, __match_args__=names, __hash__=None,
+        __dataclass_fields__=_Metadata("__dataclass_fields__", fields, frozen),
+        __dataclass_params__=_Metadata("__dataclass_params__", fields, frozen),
+    )
+    cls = type(cls)(cls.__name__, cls.__bases__, body)
+    values = "".join(f"self.{name}, " for name in names)
+    store = "    _set(self, {0!r}, {0})\n" if frozen else "    self.{0} = {0}\n"
+    source = (_METHODS + _FROZEN_METHODS * frozen).format(
+        params=", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names),
+        stores="".join(store.format(name) for name in names)
+        + "    self.__post_init__()\n" * ("__post_init__" in body),
+        reprs=", ".join(f"{name}={{self.{name}!r}}" for name in names),
+        values=values, others=values.replace("self.", "other."), names=names,
+    )
+    methods = {}
+    exec(source, {"cls": cls, "_set": object.__setattr__, "_defaults": defaults}, methods)
+    for name, method in methods.items():
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    return cls
+
+
+@record(frozen=True)
 class WellSpec:
     """Physical description of the five-region double square well.
 
@@ -51,13 +145,13 @@ class WellSpec:
     x_m3: float = 0.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for key in self.__match_args__:
+            value = getattr(self, key)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise InvalidSpec(f"{f.name} must be a real number")
+                raise InvalidSpec(f"{key} must be a real number")
             if not math.isfinite(value):
-                raise InvalidSpec(f"{f.name} must be finite")
-            object.__setattr__(self, f.name, float(value))
+                raise InvalidSpec(f"{key} must be finite")
+            object.__setattr__(self, key, float(value))
         for name in ("hbar", "mass", "w_m2", "w_0", "w_2"):
             if getattr(self, name) <= 0.0:
                 raise InvalidSpec(f"violated constraint: {name} > 0")
@@ -82,10 +176,12 @@ class WellSpec:
 
 
 #: Recognized keys of the flat ``key = value`` spec file, in canonical order.
-SPEC_KEYS = tuple(f.name for f in fields(WellSpec))
+SPEC_KEYS = WellSpec.__match_args__
+# The keys without a default, which a spec file must give.
+_REQUIRED_KEYS = SPEC_KEYS[: len(SPEC_KEYS) - len(WellSpec.__init__.__defaults__)]
 
 
-@dataclass(slots=True)
+@record
 class ReducedParams:
     """Dimensionless reduction of a :class:`WellSpec`.
 
@@ -265,7 +361,7 @@ def parse_spec(text: str) -> WellSpec:
             values[key] = float(rhs.strip())
         except ValueError:
             raise InvalidSpec(f"line {lineno}: {key} is not a number: {rhs.strip()!r}") from None
-    missing = [f.name for f in fields(WellSpec) if f.default is MISSING and f.name not in values]
+    missing = [key for key in _REQUIRED_KEYS if key not in values]
     if missing:
         raise InvalidSpec(f"missing keys: {', '.join(missing)}")
     return WellSpec(**values)

@@ -25,15 +25,14 @@ valid for v >> 1 as well; the only smallness requirement is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import AssumptionViolated, DomainError, NotSymmetric, PerturbationTooLarge
 from .isolated import IsolatedWellSolution, coupling, solve_wells
-from .params import ReducedParams, WellSpec, reduce
+from .params import ReducedParams, WellSpec, record, reduce
 from .tunneling import _GROUND, _check_trust, _probability_split, solve_r0
 
 
-@dataclass(slots=True)
+@record
 class SymmetricBase:
     """Symmetric reference configuration for the perturbation formulas.
 
@@ -51,7 +50,7 @@ class SymmetricBase:
     min_depth: float
 
 
-@dataclass(slots=True)
+@record
 class PerturbedLevels:
     """Level energies and localization for one perturbation strength."""
 
@@ -65,7 +64,7 @@ class PerturbedLevels:
     prob_ratio: float
 
 
-@dataclass(slots=True)
+@record
 class DeltaLedger:
     """Relative first-order shifts delta_X / X per unit of the applied
     antisymmetric perturbation (left floor raised by delta_v, right floor

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .errors import AssumptionViolated, DomainError, ExcitedBelowZero, NoConvergence
 from .isolated import TOL, BarrierCoupling, IsolatedWellSolution, coupling, solve_wells
-from .params import ReducedParams, WellSpec, reduce
+from .params import ReducedParams, WellSpec, record, reduce
 
 #: Step limit of ``solve_r0``.
 MAX_ITER_R = 100
@@ -45,7 +44,7 @@ class Parity(str, enum.Enum):
 _GROUND, _EXCITED = Parity.GROUND, Parity.EXCITED
 
 
-@dataclass(slots=True)
+@record
 class CoupledSolution:
     """One coupled level: fixed point, phase corrections, energy, localization."""
 
@@ -67,7 +66,7 @@ class CoupledSolution:
     prob_right: float
 
 
-@dataclass(slots=True)
+@record
 class SplittingResult:
     """Mean energy and half-splitting of the two coupled levels."""
 
@@ -77,7 +76,7 @@ class SplittingResult:
     e1: float
 
 
-@dataclass(slots=True)
+@record
 class DoubleWellResult:
     """Full approximation pipeline output for one spec."""
 

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING, IO
 
 from .errors import AssumptionViolated, BadRange, DomainError, MatchingResidualTooLarge
-from .params import ReducedParams, WellSpec, wavenumbers
+from .params import ReducedParams, WellSpec, record, wavenumbers
 from .tunneling import _EXCITED, _GROUND, CoupledSolution, Parity
 
 # numpy is imported inside the array paths only, so the scalar paths
@@ -36,7 +35,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(slots=True)
+@record
 class WavefunctionModel:
     """Normalized five-region wavefunction of one coupled level.
 

@@ -176,14 +176,14 @@ def asymmetric_spec(
     )
 
 
-def dyadic_images(spec: WellSpec) -> list[tuple[WellSpec, int]]:
+def dyadic_images(spec: WellSpec, js: tuple = (-5, -1, 1, 3)) -> list[tuple[WellSpec, int]]:
     """Exact dyadic maps of a spec, each with the power of 2 that scales
     its energies: lengths x 2^j with energies / 4^j, mass x 2^j with
-    energies / 2^j, and hbar x 2^j with energies x 4^j, for j = -5, -1, 1
-    and 3.  Each leaves every dimensionless input of the closed form as it
+    energies / 2^j, and hbar x 2^j with energies x 4^j, for each j in
+    ``js``.  Each leaves every dimensionless input of the closed form as it
     was, and a power of 2 scales a float exactly."""
     images = []
-    for j in (-5, -1, 1, 3):
+    for j in js:
         lengths = {
             name: math.ldexp(getattr(spec, name), j) for name in ("w_m2", "w_0", "w_2", "x_m3")
         }

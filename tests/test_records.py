@@ -1,5 +1,7 @@
-"""Result records: slotted dataclasses that compare, print and pickle by
-value but are neither frozen nor hashable; the input WellSpec stays frozen."""
+"""Result records: slotted classes that compare, print and pickle by value
+but are neither frozen nor hashable; the input WellSpec stays frozen.  They
+are built without the dataclass module, yet ``dataclasses.fields``,
+``replace``, ``asdict`` and ``is_dataclass`` read them as dataclasses."""
 
 import copy
 import dataclasses
@@ -15,13 +17,54 @@ from doublewell import (
     assemble,
     assemble_at_energy,
     compare,
+    delta_ledger,
+    perturbed_levels,
+    shoot,
     solve_double_well,
+    symmetric_base,
 )
 
 RECORDS = (
     "ReducedParams", "IsolatedWellSolution", "BarrierCoupling", "CoupledSolution",
     "SplittingResult", "DoubleWellResult", "SymmetricBase", "PerturbedLevels",
     "DeltaLedger", "WavefunctionModel", "ShootResult", "OracleComparison",
+)
+SPEC_AND_RECORDS = ("WellSpec", *RECORDS)
+
+# Annotation strings of the fields not annotated "float".
+NOT_FLOAT = {
+    ("CoupledSolution", "parity"): "Parity",
+    ("WavefunctionModel", "parity"): "Parity",
+    ("SymmetricBase", "wells"): "tuple[IsolatedWellSolution, IsolatedWellSolution]",
+    ("DoubleWellResult", "spec"): "WellSpec",
+    ("DoubleWellResult", "reduced"): "ReducedParams",
+    ("DoubleWellResult", "left"): "IsolatedWellSolution",
+    ("DoubleWellResult", "right"): "IsolatedWellSolution",
+    ("DoubleWellResult", "coupling"): "BarrierCoupling",
+    ("DoubleWellResult", "ground"): "CoupledSolution",
+    ("DoubleWellResult", "excited"): "CoupledSolution",
+    ("DoubleWellResult", "splitting"): "SplittingResult",
+}
+
+# repr(EXAMPLE_SPEC) and protocol-4 pickles of EXAMPLE_SPEC and of its
+# SplittingResult, as the dataclass-built records wrote them.
+EXAMPLE_SPEC_REPR = (
+    "WellSpec(hbar=1.0, mass=2.0, v_m4=1.0, v_m2=0.0, v_0=1.0, v_2=0.0, v_4=1.0, "
+    "w_m2=2.0943951023931953, w_0=10.471975511965978, w_2=2.0943951023931953, x_m3=0.0)"
+)
+EXAMPLE_SPEC_PICKLE = (
+    b"\x80\x04\x95\x8d\x00\x00\x00\x00\x00\x00\x00\x8c\x11doublewell.params\x94"
+    b"\x8c\x08WellSpec\x94\x93\x94)\x81\x94]\x94(G?\xf0\x00\x00\x00\x00\x00\x00"
+    b"G@\x00\x00\x00\x00\x00\x00\x00G?\xf0\x00\x00\x00\x00\x00\x00"
+    b"G\x00\x00\x00\x00\x00\x00\x00\x00G?\xf0\x00\x00\x00\x00\x00\x00"
+    b"G\x00\x00\x00\x00\x00\x00\x00\x00G?\xf0\x00\x00\x00\x00\x00\x00"
+    b"G@\x00\xc1R8-seG@$\xf1\xa6\xc68\xd0?G@\x00\xc1R8-seG\x00\x00\x00\x00\x00\x00\x00\x00eb."
+)
+EXAMPLE_SPLITTING_PICKLE = (
+    b"\x80\x04\x95w\x00\x00\x00\x00\x00\x00\x00\x8c\x14doublewell.tunneling\x94"
+    b"\x8c\x0fSplittingResult\x94\x93\x94)\x81\x94N}\x94(\x8c\x05e_bar\x94"
+    b"G?\xcf\xff\xff\xff\xff\xff\xfe\x8c\x07delta_e\x94G>\x1e`3\x14\x00\x00\x00"
+    b"\x8c\x02e0\x94G?\xcf\xff\xff\xfc3\xf9\x9b\x8c\x02e1\x94G?\xd0\x00\x00\x01\xe6\x030u\x86\x94b."
 )
 
 
@@ -62,27 +105,72 @@ def test_well_spec_stays_frozen_and_hashable(example_spec):
     assert {example_spec: 1}[dataclasses.replace(example_spec)] == 1
 
 
-def _excited_model(spec):
+def example_records(spec):
+    """The worked example's spec and one instance of every record."""
     result = solve_double_well(spec)
-    return assemble(spec, result.reduced, result.excited)
+    base = symmetric_base(spec)
+    return {
+        "WellSpec": spec,
+        "ReducedParams": result.reduced,
+        "IsolatedWellSolution": result.left,
+        "BarrierCoupling": result.coupling,
+        "CoupledSolution": result.excited,
+        "SplittingResult": result.splitting,
+        "DoubleWellResult": result,
+        "SymmetricBase": base,
+        "PerturbedLevels": perturbed_levels(base, 1e-9),
+        "DeltaLedger": delta_ledger(base, result.reduced, 1e-9),
+        "WavefunctionModel": assemble(spec, result.reduced, result.excited),
+        "ShootResult": shoot(spec, result.ground.energy),
+        "OracleComparison": compare(spec),
+    }
 
 
-BUILDERS = {
-    "DoubleWellResult": solve_double_well,
-    "WavefunctionModel": _excited_model,
-    "OracleComparison": compare,
-}
+@pytest.mark.parametrize("name", SPEC_AND_RECORDS)
+def test_dataclass_metadata_matches_the_record(name):
+    cls = getattr(doublewell, name)
+    fields = dataclasses.fields(cls)
+    assert tuple(f.name for f in fields) == cls.__match_args__
+    for f in fields:
+        assert f.type == NOT_FLOAT.get((name, f.name), "float")
+        assert f.default_factory is dataclasses.MISSING
+    defaults = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
+    assert defaults == ({"x_m3": 0.0} if name == "WellSpec" else {})
+    params = cls.__dataclass_params__
+    assert (params.init, params.repr, params.eq, params.order, params.unsafe_hash) == (
+        True, True, True, False, False,
+    )
+    assert params.frozen == (name == "WellSpec")
+    assert getattr(params, "slots", True)  # recorded from Python 3.12 on
 
 
-@pytest.mark.parametrize("name", BUILDERS)
+def test_example_spec_prints_and_pickles_as_before(example_spec):
+    assert repr(example_spec) == EXAMPLE_SPEC_REPR
+    splitting = solve_double_well(example_spec).splitting
+    pairs = ((example_spec, EXAMPLE_SPEC_PICKLE), (splitting, EXAMPLE_SPLITTING_PICKLE))
+    for record, data in pairs:
+        assert pickle.loads(data) == record
+        assert pickle.dumps(record, protocol=4) == data
+
+
+@pytest.mark.parametrize("name", SPEC_AND_RECORDS)
 def test_record_round_trips_by_value(example_spec, name):
-    record = BUILDERS[name](example_spec)
+    record = example_records(example_spec)[name]
     assert type(record).__name__ == name
-    for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+    clones = (
+        pickle.loads(pickle.dumps(record)), copy.deepcopy(record), dataclasses.replace(record),
+    )
+    for clone in clones:
         assert clone is not record
         assert type(clone) is type(record)
         assert clone == record
         assert repr(clone) == repr(record)
+    data = dataclasses.asdict(record)
+    assert tuple(data) == record.__match_args__
+    # asdict turns nested records into dicts; a record of plain values rebuilds.
+    values = [getattr(record, key) for key in data]
+    if not any(isinstance(v, tuple) or dataclasses.is_dataclass(v) for v in values):
+        assert type(record)(**data) == record
 
 
 @pytest.mark.parametrize("parity", list(Parity))

@@ -28,9 +28,13 @@ from doublewell import (
     write_sample_csv,
 )
 from doublewell.wavefunc import _CSV_BLOCK_ROWS, _boundary_pairs
-from genspecs import EXAMPLE_SPEC, mixed_spec_batch
+from genspecs import EXAMPLE_SPEC, dyadic_images, mixed_spec_batch
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+# The worked example and a mixed batch, for the exact dyadic maps of a table.
+MAP_BATCH = [EXAMPLE_SPEC, *mixed_spec_batch(7, 40)]
+MAP_IDS = ["example", *map(str, range(40))]
 
 
 def _models(spec):
@@ -372,6 +376,37 @@ class TestSampleTable:
         xs = table[:, 0]
         assert table[:, 1] == pytest.approx(evaluate(ground, xs))
         assert table[:, 2] == pytest.approx(derivative(ground, xs))
+
+    @pytest.mark.parametrize("spec", MAP_BATCH, ids=MAP_IDS)
+    @pytest.mark.parametrize("state", ["ground", "excited"])
+    def test_dyadic_maps_scale_the_table_exactly(self, spec, state):
+        # Mass x 2^j with energies / 2^j and hbar x 2^j with energies x 4^j
+        # keep every wavenumber, so the table over the same range keeps its
+        # bits.  Lengths x 2^j with energies / 4^j scale x by 2^j, psi by
+        # 2^(-j/2) and dpsi by 2^(-3j/2); only even j keeps those exact.
+        def table(image, j=0):
+            result = solve_double_well(image)
+            model = assemble(image, result.reduced, getattr(result, state))
+            return sample(model, math.ldexp(x_min, j), math.ldexp(x_max, j), 201)
+
+        result = solve_double_well(spec)
+        model = assemble(spec, result.reduced, getattr(result, state))
+        x_min = model.x_m3 - 5.0 / model.kappa_m4
+        x_max = model.x_3 + 5.0 / model.kappa_4
+        base = table(spec)
+        kept = [image for image, _ in dyadic_images(spec) if image.w_0 == spec.w_0]
+        assert len(kept) == 8
+        for image in kept:
+            assert _bits(table(image)) == _bits(base)
+        scaled = [
+            (image, -power // 2)
+            for image, power in dyadic_images(spec, (-4, -2, 2))
+            if image.w_0 != spec.w_0
+        ]
+        assert [j for _, j in scaled] == [-4, -2, 2]
+        for image, j in scaled:
+            expected = base * np.ldexp(1.0, [j, -j // 2, -3 * j // 2])
+            assert _bits(table(image, j)) == _bits(expected)
 
     def test_two_point_table(self, example_spec):
         _, ground, _ = _models(example_spec)
