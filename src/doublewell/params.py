@@ -27,109 +27,83 @@ import sys
 from .errors import AssumptionViolated, DomainError, EnergyOutOfBand, InvalidSpec
 
 
-# What ``@dataclass(slots=True)`` generates for a record.  Its globals are
-# ``cls``, the frozen field store ``_set`` and the ``_defaults`` of __init__.
-_METHODS = """\
-def __init__(self, {params}):
-{stores}
-def __repr__(self):
-    return type(self).__qualname__ + f"({reprs})"
-def __eq__(self, other):
-    if other.__class__ is self.__class__:
-        return ({values}) == ({others})
-    return NotImplemented"""
-# ``frozen=True`` adds dataclasses' frozen methods and its list pickle state.
-_FROZEN_METHODS = """
-def __hash__(self):
-    return hash(({values}))
-def __setattr__(self, name, value):
-    if type(self) is cls or name in {names!r}:
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot assign to field {{name!r}}")
-    super(cls, self).__setattr__(name, value)
-def __delattr__(self, name):
-    if type(self) is cls or name in {names!r}:
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot delete field {{name!r}}")
-    super(cls, self).__delattr__(name)
-def __getstate__(self):
-    return [{values}]
-def __setstate__(self, state):
-    for name, value in zip({names!r}, state):
-        _set(self, name, value)"""
+class _Record:
+    """Base of every record: prints and compares by its field values, in
+    field order, and is unhashable, as an ``eq=True`` dataclass is."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
 
 
 class _Metadata:
     """A record's class-level ``__dataclass_fields__`` or ``__dataclass_params__``.
 
     On first read it builds a ``make_dataclass`` twin with the record's field
-    names, annotation strings, defaults and ``frozen``, and stores the twin's
+    names, annotation strings, the defaults of its ``__init__``, and
+    ``frozen`` when the record defines ``__setattr__``; it stores the twin's
     two attributes on the record in place of both descriptors, so only a
     process that asks for the metadata imports the dataclass module."""
 
-    def __init__(self, attr: str, fields: list, frozen: bool) -> None:
-        self.attr, self.fields, self.frozen = attr, fields, frozen
+    def __set_name__(self, owner: type, attr: str) -> None:
+        self.attr = attr
 
     def __get__(self, obj, owner: type):
         from dataclasses import make_dataclass
 
-        twin = make_dataclass(owner.__name__, self.fields, frozen=self.frozen, slots=True)
+        names, kinds = owner.__match_args__, owner.__annotations__
+        defaults = dict(zip(reversed(names), reversed(owner.__init__.__defaults__ or ())))
+        fields = [(n, kinds[n], defaults[n]) if n in defaults else (n, kinds[n]) for n in names]
+        frozen = "__setattr__" in vars(owner)
+        twin = make_dataclass(owner.__name__, fields, frozen=frozen, slots=True)
         owner.__dataclass_fields__ = twin.__dataclass_fields__
         owner.__dataclass_params__ = twin.__dataclass_params__
         return getattr(owner, self.attr)
 
 
-def record(cls: type | None = None, *, frozen: bool = False):
+def record(cls: type) -> type:
     """Class decorator that builds what ``@dataclass(slots=True)`` builds.
 
-    The fields are the annotated class attributes, in order; a class-level
-    value is that field's default.  The new class has ``__slots__``, an
-    ``__init__`` with one store per field (then ``__post_init__``, if the
-    class defines one), ``__repr__``, ``__eq__``, ``__match_args__`` and
-    ``__hash__ = None``.  With ``frozen=True``, assignment and deletion raise
-    ``FrozenInstanceError``, instances hash by their field tuple, and the
-    fields pickle as a list.  The dataclass metadata is built on demand
-    (:class:`_Metadata`), so ``fields``, ``replace``, ``asdict`` and
-    ``is_dataclass`` accept records.
+    The fields are the annotated class attributes, in order.  The class is
+    rebuilt as a subclass of :class:`_Record` (``__repr__``, ``__eq__``,
+    ``__hash__ = None``) with ``__slots__``, ``__match_args__`` and, unless
+    it defines its own, a positional ``__init__`` with one store per field.
+    The dataclass metadata is built on demand (:class:`_Metadata`), so
+    ``fields``, ``replace``, ``asdict`` and ``is_dataclass`` accept records.
     """
-    if cls is None:
-        return lambda cls: record(cls, frozen=frozen)
-    own, names = vars(cls), tuple(cls.__annotations__)
-    defaults = {name: own[name] for name in names if name in own}
-    fields = [(name, kind, defaults[name]) if name in defaults else (name, kind)
-              for name, kind in cls.__annotations__.items()]
-    body = {k: v for k, v in own.items() if k not in (*names, "__dict__", "__weakref__")}
+    names = tuple(cls.__annotations__)
+    body = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
     body.update(
-        __qualname__=cls.__qualname__, __slots__=names, __match_args__=names, __hash__=None,
-        __dataclass_fields__=_Metadata("__dataclass_fields__", fields, frozen),
-        __dataclass_params__=_Metadata("__dataclass_params__", fields, frozen),
+        __qualname__=cls.__qualname__, __slots__=names, __match_args__=names,
+        __dataclass_fields__=_Metadata(), __dataclass_params__=_Metadata(),
     )
-    cls = type(cls)(cls.__name__, cls.__bases__, body)
-    values = "".join(f"self.{name}, " for name in names)
-    store = "    _set(self, {0!r}, {0})\n" if frozen else "    self.{0} = {0}\n"
-    source = (_METHODS + _FROZEN_METHODS * frozen).format(
-        params=", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names),
-        stores="".join(store.format(name) for name in names)
-        + "    self.__post_init__()\n" * ("__post_init__" in body),
-        reprs=", ".join(f"{name}={{self.{name}!r}}" for name in names),
-        values=values, others=values.replace("self.", "other."), names=names,
-    )
-    methods = {}
-    exec(source, {"cls": cls, "_set": object.__setattr__, "_defaults": defaults}, methods)
-    for name, method in methods.items():
-        method.__qualname__ = f"{cls.__qualname__}.{name}"
-        setattr(cls, name, method)
-    return cls
+    if "__init__" not in body:
+        stores = "".join(f"\n    self.{name} = {name}" for name in names)
+        exec(f"def __init__(self, {', '.join(names)}):{stores}", {}, body)
+        body["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    return type(cls)(cls.__name__, (_Record,), body)
 
 
-@record(frozen=True)
+@record
 class WellSpec:
     """Physical description of the five-region double square well.
 
     ``v_*`` are the region potentials, ``w_*`` the widths of the two wells
     and the barrier, ``x_m3`` the position of the left outer wall.
     Validation happens on construction and raises :class:`InvalidSpec`
-    naming the violated constraint.
+    naming the violated constraint.  A spec is frozen and hashable, as a
+    frozen dataclass is: assignment would bypass the validation.
     """
 
     hbar: float
@@ -142,11 +116,14 @@ class WellSpec:
     w_m2: float
     w_0: float
     w_2: float
-    x_m3: float = 0.0
+    x_m3: float
 
-    def __post_init__(self) -> None:
-        for key in self.__match_args__:
-            value = getattr(self, key)
+    def __init__(
+        self, hbar: float, mass: float, v_m4: float, v_m2: float, v_0: float, v_2: float,
+        v_4: float, w_m2: float, w_0: float, w_2: float, x_m3: float = 0.0,
+    ) -> None:
+        values = (hbar, mass, v_m4, v_m2, v_0, v_2, v_4, w_m2, w_0, w_2, x_m3)
+        for key, value in zip(self.__match_args__, values):
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise InvalidSpec(f"{key} must be a real number")
             if not math.isfinite(value):
@@ -158,6 +135,28 @@ class WellSpec:
         for lhs, rhs in (("v_m4", "v_m2"), ("v_0", "v_m2"), ("v_0", "v_2"), ("v_4", "v_2")):
             if getattr(self, lhs) <= getattr(self, rhs):
                 raise InvalidSpec(f"violated constraint: {lhs} > {rhs}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    # dataclasses' frozen contract: FrozenInstanceError is an AttributeError.
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    # Pickled as a list of the field values, as a frozen slotted dataclass is.
+    def __getstate__(self) -> list:
+        return list(self._values())
+
+    def __setstate__(self, state: list) -> None:
+        for name, value in zip(self.__match_args__, state):
+            object.__setattr__(self, name, value)
 
     @property
     def x_m1(self) -> float:

@@ -5,9 +5,13 @@ are built without the dataclass module, yet ``dataclasses.fields``,
 
 import copy
 import dataclasses
+import inspect
 import pickle
+import subprocess
+import sys
 
 import pytest
+from genspecs import child_env
 
 import doublewell
 from doublewell import (
@@ -101,8 +105,34 @@ def test_well_spec_stays_frozen_and_hashable(example_spec):
     assert example_spec.__dataclass_params__.frozen
     with pytest.raises(dataclasses.FrozenInstanceError):
         example_spec.mass = 3.0
+    with pytest.raises(dataclasses.FrozenInstanceError, match=r"^cannot delete field 'mass'$"):
+        del example_spec.mass
+    with pytest.raises(
+        dataclasses.FrozenInstanceError, match=r"^cannot assign to field 'not_a_field'$"
+    ):
+        example_spec.not_a_field = 1
+    assert example_spec.mass == 2.0
     assert hash(example_spec) == hash(WellSpec(**dataclasses.asdict(example_spec)))
     assert {example_spec: 1}[dataclasses.replace(example_spec)] == 1
+
+
+def test_shifted_spec_round_trips_with_its_hash(example_spec):
+    spec = dataclasses.replace(example_spec, x_m3=-1.25)
+    assert spec.x_m3 == -1.25 and spec != example_spec
+    clones = (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec), dataclasses.replace(spec))
+    for clone in clones:
+        assert clone is not spec
+        assert clone == spec
+        assert hash(clone) == hash(spec)
+        assert clone.x_m3 == -1.25
+
+
+def test_well_spec_signature_lists_the_fields():
+    params = inspect.signature(WellSpec).parameters
+    assert tuple(params) == WellSpec.__match_args__
+    assert len(params) == 11
+    defaults = {name: p.default for name, p in params.items() if p.default is not p.empty}
+    assert defaults == {"x_m3": 0.0}
 
 
 def example_records(spec):
@@ -142,6 +172,37 @@ def test_dataclass_metadata_matches_the_record(name):
     )
     assert params.frozen == (name == "WellSpec")
     assert getattr(params, "slots", True)  # recorded from Python 3.12 on
+
+
+# Reads one record's metadata first, then prints every record's field names,
+# defaults and frozen flag, and whether a base class holds dataclass metadata.
+METADATA_PROBE = """
+import dataclasses, sys
+import doublewell
+getattr(doublewell, sys.argv[1]).__dataclass_fields__
+for name in sys.argv[2:]:
+    cls = getattr(doublewell, name)
+    fields = dataclasses.fields(cls)
+    defaults = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
+    shared = any("__dataclass_fields__" in vars(base) for base in cls.__mro__[1:])
+    print(name, [f.name for f in fields] == list(cls.__match_args__), defaults,
+          cls.__dataclass_params__.frozen, shared)
+"""
+
+
+@pytest.mark.parametrize("first", SPEC_AND_RECORDS)
+def test_reading_one_records_metadata_leaves_the_others_intact(first):
+    # A fresh interpreter per case: the metadata is built once per process.
+    proc = subprocess.run(
+        [sys.executable, "-c", METADATA_PROBE, first, *SPEC_AND_RECORDS],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"{name} True {{'x_m3': 0.0}} True False" if name == "WellSpec"
+        else f"{name} True {{}} False False"
+        for name in SPEC_AND_RECORDS
+    ]
 
 
 def test_example_spec_prints_and_pickles_as_before(example_spec):
