@@ -29,15 +29,15 @@ _EXPORTS = {
         "LevelNotFound", "DegeneracyUnresolved", "SeriesUnreliable",
     ),
     "params": (
-        "WellSpec", "ReducedParams", "reduce", "bound_state_exists", "parse_spec",
-        "load_spec",
+        "WellSpec", "ReducedParams", "Parity", "reduce", "bound_state_exists",
+        "parse_spec", "load_spec",
     ),
     "isolated": (
         "IsolatedWellSolution", "BarrierCoupling", "newton_initial", "newton_step",
         "solve_y", "series_y", "derive_well", "coupling", "solve_wells",
     ),
     "tunneling": (
-        "Parity", "CoupledSolution", "SplittingResult", "DoubleWellResult", "solve_r0",
+        "CoupledSolution", "SplittingResult", "DoubleWellResult", "solve_r0",
         "correct_energy", "splitting", "coefficient_ratio", "solve_double_well",
     ),
     "perturb": (

@@ -30,9 +30,7 @@ from __future__ import annotations
 import math
 
 from .errors import AssumptionViolated, DegeneracyUnresolved, DomainError, LevelNotFound
-from .params import WellSpec, band, record, wavenumbers
-from .tunneling import _EXCITED, _GROUND, Parity, solve_double_well
-from .wavefunc import assemble_at_energy, probabilities
+from .params import _EXCITED, _GROUND, Parity, WellSpec, band, record, wavenumbers
 
 
 @record
@@ -290,8 +288,11 @@ def compare(spec: WellSpec, tol_rel: float = 1e-13) -> OracleComparison:
     with :func:`find_level`'s ``tol_rel``.  The ground search starts from
     the closed-form e0; the excited one from the closed-form e1 moved by
     the ground level's measured miss, since the closed form misses both
-    levels of a doublet by nearly the same amount."""
-    approx = solve_double_well(spec)
+    levels of a doublet by nearly the same amount.  Only this function
+    reaches the closed form, so importing the oracle loads none of it."""
+    from . import tunneling, wavefunc
+
+    approx = tunneling.solve_double_well(spec)
     e0_approx, e1_approx, delta_e_approx = (
         approx.splitting.e0, approx.splitting.e1, approx.splitting.delta_e
     )
@@ -301,8 +302,8 @@ def compare(spec: WellSpec, tol_rel: float = 1e-13) -> OracleComparison:
     e_bar_exact = 0.5 * (e1_exact + e0_exact)
     lo, hi = band(spec)
     scale = abs(e_bar_exact) or hi - lo
-    exact_model = assemble_at_energy(spec, approx.reduced, _GROUND, e0_exact)
-    prob_left, prob_right = probabilities(exact_model)
+    exact_model = wavefunc.assemble_at_energy(spec, approx.reduced, _GROUND, e0_exact)
+    prob_left, prob_right = wavefunc.probabilities(exact_model)
     ratio_exact = prob_right / prob_left
     ratio_approx = approx.ground.prob_right / approx.ground.prob_left
     # Positional, in field order: keywords cost a dict per call.

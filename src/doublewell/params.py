@@ -21,6 +21,7 @@ inner steps and W_1 = V_0 - V_2, W_3 = V_4 - V_2 the right well's.
 
 from __future__ import annotations
 
+import enum
 import math
 import sys
 
@@ -93,6 +94,17 @@ def record(cls: type) -> type:
         exec(f"def __init__(self, {', '.join(names)}):{stores}", {}, body)
         body["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
     return type(cls)(cls.__name__, (_Record,), body)
+
+
+class Parity(str, enum.Enum):
+    """Which of the two lowest coupled levels is meant."""
+
+    GROUND = "ground"
+    EXCITED = "excited"
+
+
+# Read once here: each Parity.X lookup is slow on Python 3.11.
+_GROUND, _EXCITED = Parity.GROUND, Parity.EXCITED
 
 
 @record
@@ -367,13 +379,16 @@ def parse_spec(text: str) -> WellSpec:
 
 
 def load_spec(path: str) -> WellSpec:
-    """Read and parse a spec file; one that is not UTF-8 raises
-    :class:`InvalidSpec` naming its first undecodable byte."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()  # one decode of the whole file: exc.start is the file offset
-        except UnicodeDecodeError as exc:
-            raise InvalidSpec(
-                f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
-            ) from None
-    return parse_spec(text)
+    """Read and parse a UTF-8 spec file, which may start with a byte-order
+    mark; one that is not UTF-8 raises :class:`InvalidSpec` naming its
+    first undecodable byte and that byte's offset in the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        # Plain UTF-8, not utf-8-sig: that codec reports offsets past a mark 3 bytes early.
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidSpec(
+            f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        ) from None
+    return parse_spec(text.removeprefix("\ufeff"))

@@ -22,26 +22,14 @@ left/right localization probabilities
 
 from __future__ import annotations
 
-import enum
 import math
 
 from .errors import AssumptionViolated, DomainError, ExcitedBelowZero, NoConvergence
 from .isolated import TOL, BarrierCoupling, IsolatedWellSolution, coupling, solve_wells
-from .params import ReducedParams, WellSpec, record, reduce
+from .params import _EXCITED, _GROUND, Parity, ReducedParams, WellSpec, record, reduce
 
 #: Step limit of ``solve_r0``.
 MAX_ITER_R = 100
-
-
-class Parity(str, enum.Enum):
-    """Which of the two lowest coupled levels is meant."""
-
-    GROUND = "ground"
-    EXCITED = "excited"
-
-
-# Read once here: each Parity.X lookup is slow on Python 3.11.
-_GROUND, _EXCITED = Parity.GROUND, Parity.EXCITED
 
 
 @record

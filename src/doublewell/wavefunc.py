@@ -26,13 +26,14 @@ from functools import cache
 from typing import TYPE_CHECKING, IO
 
 from .errors import AssumptionViolated, BadRange, DomainError, MatchingResidualTooLarge
-from .params import ReducedParams, WellSpec, record, wavenumbers
-from .tunneling import _EXCITED, _GROUND, CoupledSolution, Parity
+from .params import _EXCITED, _GROUND, Parity, ReducedParams, WellSpec, record, wavenumbers
 
 # numpy is imported inside the array paths only, so the scalar paths
 # (assemble, probabilities, and the oracle through them) never load it.
 if TYPE_CHECKING:
     import numpy as np
+
+    from .tunneling import CoupledSolution
 
 
 @record

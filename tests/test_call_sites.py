@@ -11,7 +11,7 @@ with 16 or more keywords.  On Python 3.11 a plain function call costs
 A second guard keeps the doublet's parity in one cached pair: each
 ``Parity.GROUND`` lookup goes through ``EnumType.__getattr__`` on Python
 3.11 (~200 ns against ~35 ns for a module global), so library functions
-compare against ``tunneling``'s ``_GROUND``/``_EXCITED``, which no other
+compare against ``params``'s ``_GROUND``/``_EXCITED``, which no other
 module rebinds.
 """
 
@@ -19,7 +19,7 @@ import ast
 from pathlib import Path
 
 import doublewell
-from doublewell import Parity, tunneling
+from doublewell import Parity, params
 
 SOURCES = sorted(Path(doublewell.__file__).parent.glob("*.py"))
 
@@ -102,14 +102,14 @@ PAIR = {"_GROUND", "_EXCITED"}
 def parity_reads(path: Path) -> list[str]:
     """``module:line what`` of each ``Parity.GROUND``/``Parity.EXCITED`` read
     inside a function, each module-level binding of ``_GROUND``/``_EXCITED``
-    outside ``tunneling.py``, and each use of the retired ``_PARITIES``."""
+    outside ``params.py``, and each use of the retired ``_PARITIES``."""
     found = []
     tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             bound = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
-            if bound & PAIR and path.name != "tunneling.py":
+            if bound & PAIR and path.name != "params.py":
                 found.append(f"{path.name}:{node.lineno} binds {', '.join(sorted(bound & PAIR))}")
     for func in ast.walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -130,13 +130,13 @@ def parity_reads(path: Path) -> list[str]:
     return sorted(set(found))
 
 
-def test_parity_is_read_from_tunnelings_cached_pair():
+def test_parity_is_read_from_params_cached_pair():
     found = [hit for path in SOURCES for hit in parity_reads(path)]
     assert not found, (
-        "library functions compare against tunneling's module-level "
+        "library functions compare against params' module-level "
         "_GROUND/_EXCITED, bound there only: " + "; ".join(found)
     )
-    assert (tunneling._GROUND, tunneling._EXCITED) == (Parity.GROUND, Parity.EXCITED)
+    assert (params._GROUND, params._EXCITED) == (Parity.GROUND, Parity.EXCITED)
 
 
 def test_guard_flags_parity_lookups_and_copies(tmp_path):

@@ -171,6 +171,13 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert err == f"error: {path}: not UTF-8 text: byte 0xff at offset 0\n"
 
+    def test_spec_with_a_byte_order_mark_solves_as_without(self, capsys, tmp_path, spec_file):
+        path = tmp_path / "bom.spec"
+        path.write_bytes(b"\xef\xbb\xbf" + Path(spec_file).read_bytes())
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, "solve", spec_file)[1]
+
     def test_out_of_regime_spec_suggests_oracle(self, capsys, tmp_path):
         path = tmp_path / "thin.spec"
         path.write_text(spec_text(w_0=EXAMPLE_SPEC.w_2 / 10.0))

@@ -25,6 +25,13 @@ def test_name_is_its_submodule_object(name):
     assert getattr(sys.modules[obj.__module__], name) is obj
 
 
+def test_parity_lives_in_params_and_stays_reachable_from_tunneling():
+    from doublewell import params, tunneling
+
+    assert doublewell._SOURCE["Parity"] == "params"
+    assert tunneling.Parity is params.Parity is doublewell.Parity
+
+
 def test_import_loads_no_submodule():
     proc = subprocess.run(
         [

@@ -10,7 +10,7 @@ from doublewell import (
     AssumptionViolated, DomainError, InvalidSpec, WellSpec, bound_state_exists, load_spec,
     parse_spec, reduce,
 )
-from doublewell.params import wavenumbers
+from doublewell.params import SPEC_KEYS, wavenumbers
 from genspecs import EXAMPLE_SPEC, mixed_spec_batch
 
 
@@ -278,5 +278,23 @@ class TestParseSpec:
         path.write_bytes(SPEC_TEXT.encode() + b"\xff\xfe\x00bad")
         offset = len(SPEC_TEXT.encode())
         want = f"bin.spec: not UTF-8 text: byte 0xff at offset {offset}$"
+        with pytest.raises(InvalidSpec, match=want):
+            load_spec(str(path))
+
+    def test_load_spec_drops_one_leading_byte_order_mark(self, tmp_path):
+        text = "".join(f"{key} = {getattr(EXAMPLE_SPEC, key)!r}\n" for key in SPEC_KEYS)
+        path = tmp_path / "bom.spec"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert load_spec(str(path)) == EXAMPLE_SPEC
+        # Only one mark belongs to the encoding; a second is text on line 1.
+        path.write_bytes(b"\xef\xbb\xbf" * 2 + text.encode())
+        with pytest.raises(InvalidSpec, match=r"^line 1: unknown key '\\ufeffhbar'$"):
+            load_spec(str(path))
+
+    def test_load_spec_names_the_file_offset_of_a_bad_byte_after_a_mark(self, tmp_path):
+        path = tmp_path / "bom.spec"
+        path.write_bytes(b"\xef\xbb\xbf" + SPEC_TEXT.encode() + b"\xff")
+        offset = 3 + len(SPEC_TEXT.encode())
+        want = f"bom.spec: not UTF-8 text: byte 0xff at offset {offset}$"
         with pytest.raises(InvalidSpec, match=want):
             load_spec(str(path))

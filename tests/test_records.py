@@ -27,6 +27,7 @@ from doublewell import (
     solve_double_well,
     symmetric_base,
 )
+from doublewell.params import record
 
 RECORDS = (
     "ReducedParams", "IsolatedWellSolution", "BarrierCoupling", "CoupledSolution",
@@ -71,6 +72,19 @@ EXAMPLE_SPLITTING_PICKLE = (
     b"\x8c\x02e0\x94G?\xcf\xff\xff\xfc3\xf9\x9b\x8c\x02e1\x94G?\xd0\x00\x00\x01\xe6\x030u\x86\x94b."
 )
 
+# Protocol-4 pickle of Parity.EXCITED from before Parity moved to params.
+PARITY_PICKLE_NAMING_TUNNELING = (
+    b"\x80\x04\x951\x00\x00\x00\x00\x00\x00\x00\x8c\x14doublewell.tunneling\x94"
+    b"\x8c\x06Parity\x94\x93\x94\x8c\x07excited\x94\x85\x94R\x94."
+)
+
+
+def test_parity_pickles_by_params_and_reads_pickles_that_name_tunneling():
+    excited = pickle.dumps(Parity.EXCITED, protocol=4)
+    assert b"\x8c\x11doublewell.params\x94\x8c\x06Parity" in excited
+    assert pickle.loads(excited) is Parity.EXCITED
+    assert pickle.loads(PARITY_PICKLE_NAMING_TUNNELING) is Parity.EXCITED
+
 
 def test_every_exported_dataclass_is_a_record_or_the_spec():
     exported = {
@@ -99,6 +113,23 @@ def test_record_takes_no_attribute_outside_its_fields(example_spec):
     assert record.delta_e == 0.0
     with pytest.raises(AttributeError):
         record.not_a_field = 1.0
+
+
+def test_record_equals_only_a_record_of_its_own_class(example_spec):
+    shot = shoot(example_spec, 0.25)
+    values = (shot.energy, shot.phase, shot.residual)
+
+    @record
+    class ShootResult:  # the same name, fields and values, another class
+        energy: float
+        phase: float
+        residual: float
+
+    twin = ShootResult(*values)
+    for other in (values, twin):
+        assert shot.__eq__(other) is NotImplemented
+        assert shot != other and other != shot
+    assert shot == type(shot)(*values)
 
 
 def test_well_spec_stays_frozen_and_hashable(example_spec):

@@ -125,6 +125,13 @@ class TestFixedPoint:
         with pytest.raises(ExcitedBelowZero):
             solve_r0(Parity.EXCITED, 0.5, 0.5, 10.0)
 
+    def test_excited_start_at_zero_raises_before_the_loop(self):
+        # The loop's own check cannot replace this one: with p_cap = 0 and
+        # both a below ~1e-162, diff^2 underflows, so the excited step
+        # r_next = mean - sqrt(diff^2) is the mean, > 0 (0.0, 1e-162 gives 5e-163).
+        with pytest.raises(ExcitedBelowZero, match="start 0.0 <= 0"):
+            solve_r0(Parity.EXCITED, 0.0, 5.0, 1.0)
+
 
 class TestExampleValues:
     def test_ground_fixed_point(self, example_spec):
@@ -285,6 +292,11 @@ class TestCoefficientRatio:
         for level in (res.ground, res.excited):
             ratio = coefficient_ratio(level, res.left, res.right)
             assert ratio == pytest.approx(1.0, rel=1e-12)
+
+    def test_vanished_coupling_with_equal_wells_gives_the_prefactor(self, example_spec):
+        res = solve_double_well(example_spec)
+        for level in (res.ground, res.excited):
+            assert coefficient_ratio(replace(level, p_small=0.0), res.left, res.right) == 1.0
 
     def test_detuned_example_reference_values(self, example_spec):
         delta = 1.7681030756044489e-09  # one half-splitting of depth detuning
