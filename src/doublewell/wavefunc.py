@@ -21,6 +21,7 @@ the analytic piecewise integrals.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from functools import cache
 from typing import TYPE_CHECKING, IO
@@ -225,14 +226,56 @@ def _fill(piece: Piece, xs, out, slope: bool) -> None:
     out *= (sign * amp) * rate if slope else amp
 
 
-def _field(model: WavefunctionModel, x, slope: bool):
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _in_parts(fill, n: int, parts: int) -> bool:
+    """``fill(start, stop)`` on ``parts`` equal ranges of ``range(n)``: the
+    first in this thread, each other one in a thread of its own, started
+    here and joined before this returns, and each under this thread's numpy
+    error state (a new thread would start from numpy's defaults).  False
+    when a range raised."""
+    import threading
+
+    import numpy as np
+
+    call, err = np.geterrcall(), np.geterr()
+    failed = []
+
+    def run(i: int) -> None:
+        try:
+            with np.errstate(call=call, divide=err["divide"], over=err["over"],
+                             under=err["under"], invalid=err["invalid"]):
+                fill(n * i // parts, n * (i + 1) // parts)
+        except Exception:
+            failed.append(i)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, parts)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    return not failed
+
+
+def _field(model: WavefunctionModel, x, slope: bool, split: bool = True):
     """psi, or dpsi/dx when ``slope``, of a doublet level at a scalar or an
     array of positions of any shape, which is only read; NaN gives NaN.
     Each region is one slice, written in place, and a boundary belongs to
     the region on its right: every grid is cut by one searchsorted of the
     edges.  A grid that is not non-decreasing (NaN fails the order check)
     is first sorted by position, filled in that sorted copy and scattered
-    back; NaN sorts past every edge into the last region."""
+    back; NaN sorts past every edge into the last region.
+
+    When ``split``, a grid of 2^19 points or more is cut into equal index
+    ranges of at least 2^18 points, one per CPU the process may use (fewer
+    when the grid holds fewer parts), and each range fills its share of
+    every region's slice (see _in_parts).  Every value is elementwise, so
+    the bits do not depend on the ranges.  When a range fails, the grid is
+    filled again in one unsplit pass, which raises the error here."""
     import numpy as np
 
     xs = np.asarray(x, dtype=float)
@@ -246,10 +289,22 @@ def _field(model: WavefunctionModel, x, slope: bool):
         # Equal positions give equal values, so the sort need not be stable.
         order = np.argsort(points)
         points = out = points[order]
-    cuts = np.searchsorted(points, edges, side="left")
-    for piece, lo, hi in zip(pieces, (0, *cuts), (*cuts, len(points))):
-        if lo < hi:
-            _fill(piece, points[lo:hi], out[lo:hi], slope)
+    n = len(points)
+    cuts = np.searchsorted(points, edges, side="left").tolist()
+
+    def fill(start: int, stop: int) -> None:
+        for piece, lo, hi in zip(pieces, (0, *cuts), (*cuts, n)):
+            lo, hi = max(lo, start), min(hi, stop)
+            if lo < hi:
+                _fill(piece, points[lo:hi], out[lo:hi], slope)
+
+    # Parts of 2^18 points or more, up to one per CPU the process may use:
+    # a smaller part saves less than its thread costs.
+    parts = min(_cpus(), n // 2**18) if split and n >= 2**19 else 1
+    if parts < 2:
+        fill(0, n)
+    elif not _in_parts(fill, n, parts):
+        return _field(model, x, slope, False)
     if order is not None:
         out = np.empty_like(points)
         out[order] = points
@@ -353,12 +408,19 @@ def evaluate(model: WavefunctionModel, x):
     grid that is not non-decreasing is sorted by position.  Region dispatch
     is half-open with each boundary belonging to the region on its right;
     continuity makes the choice observationally irrelevant.
+
+    A grid of 2^19 points or more is filled in parts of at least 2^18
+    points, one per CPU the process may use, on threads started and joined
+    within the call.  The values are bit for bit those of a one-CPU fill,
+    every part runs under the caller's numpy error state, and an error in
+    any part is raised from the caller's thread.
     """
     return _field(model, x, False)
 
 
 def derivative(model: WavefunctionModel, x):
-    """d psi / dx at x; accepts a scalar or an array."""
+    """d psi / dx at x; accepts a scalar or an array, and fills a grid of
+    2^19 points or more in parts, one per CPU, as :func:`evaluate` does."""
     return _field(model, x, True)
 
 
@@ -381,8 +443,10 @@ def sample(
 ) -> np.ndarray:
     """Uniform endpoint-inclusive table of (x, psi, dpsi), shape (n, 3).
 
-    Raises :class:`BadRange` for a malformed range or point count, or one
-    too large to allocate."""
+    psi and dpsi are :func:`evaluate` and :func:`derivative` on the x
+    column, so 2^19 points or more are filled in parts, one per CPU, with
+    the one-CPU bits.  Raises :class:`BadRange` for a malformed range or
+    point count, or one too large to allocate."""
     # An infinite or NaN end, or a width that overflows, leaves the width non-finite.
     if not (x_min < x_max and math.isfinite(x_max - x_min)):
         raise BadRange(f"need finite x_min < x_max and x_max - x_min, got {x_min!r}, {x_max!r}")

@@ -10,7 +10,8 @@ than binding names.
 The exact side stays independent of the closed form it checks: importing
 ``oracle`` or ``wavefunc`` loads only the spec layer (``params`` and
 ``errors``), and in ``oracle`` only ``compare``, which runs both sides,
-names a closed-form module.
+names a closed-form module.  Neither they nor ``cli`` load ``threading``
+or numpy at import.
 """
 
 import ast
@@ -96,6 +97,22 @@ def test_exact_side_imports_only_the_spec_layer(module):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == sorted(LOADS[module])
+
+
+# Loaded only where the array work runs: threading when a grid is split
+# across CPUs, numpy for any array (concurrent.futures and logging never).
+ARRAY_WORK = {"threading", "numpy", "concurrent", "logging"}
+
+
+@pytest.mark.parametrize("module", ["cli", "oracle", "wavefunc"])
+def test_import_loads_no_thread_or_array_module(module):
+    # -S skips the site hooks, which load threading on some installs.
+    code = f"import sys, doublewell.{module}\nprint(*sorted({sorted(ARRAY_WORK)} & sys.modules.keys()))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 CLOSED_FORM = {"isolated", "perturb", "tunneling", "wavefunc"}

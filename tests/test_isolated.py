@@ -72,6 +72,18 @@ class TestSolveY:
         assert info.value.last_iterate is not None
         assert info.value.residual is not None
 
+    def test_step_that_lands_at_zero_is_halved(self):
+        # With both coefficients near the float64 maximum the step's
+        # denominator pi + a_i / C_i + a_o / C_o overflows, so the first
+        # Newton step lands at 0: solve_y halves the iterate instead, and
+        # the halved point solves nothing.
+        alpha = 1e308
+        start = newton_initial(alpha, alpha)
+        assert newton_step(start, alpha, alpha) == 0.0
+        with pytest.raises(NoConvergence) as info:
+            solve_y(alpha, alpha)
+        assert info.value.last_iterate == 0.5 * start
+
     def test_random_specs_converge_and_match_bisection(self):
         for spec in mixed_spec_batch(seed=21, count=9):
             red = reduce(spec)

@@ -334,6 +334,27 @@ class TestFindLevel:
             guess - h, guess + h, guess + 16.0 * h, guess + 256.0 * h, guess + 4096.0 * h
         ]
 
+    def test_muller_trial_clamped_outside_the_bracket_falls_back_to_the_midpoint(
+        self, monkeypatch, example_spec
+    ):
+        # Residual = energy puts every Muller zero at 0.  The first trial is
+        # clamped an ulp of 1 inside (0, 1); its stubbed shot closes the
+        # bracket to (0, 1e-300), far narrower than an ulp of that trial, so
+        # the next zero, clamped by that ulp, leaves the bracket.
+        trials = []
+
+        def stub(spec, energy):
+            trials.append(energy)
+            if len(trials) > 1:
+                raise LevelNotFound("stop")
+            return ShootResult(1e-300, 1.0, energy)
+
+        monkeypatch.setattr(oracle, "shoot", stub)
+        lo, hi = ShootResult(0.0, 0.0, 0.0), ShootResult(1.0, 1.0, 1.0)
+        with pytest.raises(LevelNotFound, match="stop"):
+            oracle._refine(example_spec, lo, hi, 0.5, 0.0)
+        assert trials == [math.ulp(1.0), 5e-301]
+
     def test_steep_phase_step_is_sharpened(self, monkeypatch, example_spec):
         # The band is (0, 1) and the phase climbs through the one-node target
         # within about 1e-5 of 0.50002; one bracket from the band ends finds it.

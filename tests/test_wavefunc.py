@@ -2,7 +2,11 @@
 
 import io
 import math
+import os
 import random
+import sys
+import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +31,7 @@ from doublewell import (
     solve_double_well,
     write_sample_csv,
 )
+from doublewell import wavefunc
 from doublewell.wavefunc import _CSV_BLOCK_ROWS, _boundary_pairs
 from genspecs import EXAMPLE_SPEC, dyadic_images, mixed_spec_batch
 
@@ -114,6 +119,35 @@ def _states():
 
 def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
+
+
+# A grid is split into parts of at least 2^18 points, so the least grid
+# split holds 2^19.  The sizes about it: one point short, it, one past.
+PART = 2**18
+SPLIT_SIZES = [2 * PART - 1, 2 * PART, 2 * PART + 1]
+
+
+def _threads_per_call(n, cpus):
+    """Threads one field call starts on a grid of n points with ``cpus``."""
+    return min(cpus, n // PART) - 1 if n >= 2 * PART else 0
+
+
+def _one_cpu_then_split(monkeypatch, compute, cpus=2):
+    """``compute()`` with the CPU count patched to 1, then to ``cpus``, and
+    the number of threads the second call started."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    monkeypatch.setattr(wavefunc, "_cpus", lambda: 1)
+    reference = compute()
+    assert not started
+    monkeypatch.setattr(wavefunc, "_cpus", lambda: cpus)
+    return reference, compute(), len(started)
 
 
 def _potential(spec, x):
@@ -283,26 +317,145 @@ class TestGridPaths:
         for field in (evaluate, derivative):
             assert _bits(field(state, xs[perm])) == _bits(field(state, xs)[perm])
 
-    def test_caller_array_is_left_unchanged_and_may_be_read_only(self):
-        for state, edges in _states():
-            grid = np.linspace(edges[0] - 2.0, edges[-1] + 2.0, 101)
-            for xs in (grid, grid[::-1].copy()):
-                before = xs.copy()
-                xs.flags.writeable = False
-                for field in (evaluate, derivative):
-                    field(state, xs)
-                    assert _bits(xs) == _bits(before)
+    @pytest.mark.parametrize("n", [101, *SPLIT_SIZES])
+    def test_caller_array_is_left_unchanged_and_may_be_read_only(self, monkeypatch, n):
+        states = _states()
+        edges = states[0][1]
+        grid = np.linspace(edges[0] - 2.0, edges[-1] + 2.0, n)
+        grids = (grid, grid[::-1].copy())
+        before = [_bits(xs) for xs in grids]
+        for xs in grids:
+            xs.flags.writeable = False
 
-    def test_two_dimensional_input_keeps_its_shape(self):
-        for state, edges in _states():
-            xs = np.linspace(edges[0] - 2.0, edges[-1] + 2.0, 60)
-            for field in (evaluate, derivative):
-                flat = field(state, xs)
-                # Row-major keeps the grid sorted; the transpose does not.
-                for shaped in (lambda a: a.reshape(6, 10), lambda a: a.reshape(10, 6).T):
-                    values = field(state, shaped(xs))
-                    assert values.shape == shaped(xs).shape
-                    assert _bits(values) == _bits(shaped(flat))
+        def compute():
+            return [
+                _bits(field(state, xs))
+                for state, _ in states for xs in grids for field in (evaluate, derivative)
+            ]
+
+        reference, split, threads = _one_cpu_then_split(monkeypatch, compute)
+        assert split == reference
+        assert threads == 8 * _threads_per_call(n, 2)
+        assert [_bits(xs) for xs in grids] == before
+
+    @pytest.mark.parametrize("n", [60, *SPLIT_SIZES])
+    def test_two_dimensional_input_keeps_its_shape(self, monkeypatch, n):
+        rows = next(d for d in (6, 3, 2, 1) if n % d == 0)
+        # Row-major keeps the grid sorted; the transpose does not (unless
+        # one row is all there is).
+        shapes = (lambda a: a.reshape(rows, -1), lambda a: a.reshape(-1, rows).T)
+        states = _states()
+        edges = states[0][1]
+        xs = np.linspace(edges[0] - 2.0, edges[-1] + 2.0, n)
+
+        def compute():
+            found = []
+            for state, _ in states:
+                for field in (evaluate, derivative):
+                    flat = field(state, xs)
+                    for shaped in shapes:
+                        values = field(state, shaped(xs))
+                        assert values.shape == shaped(xs).shape
+                        assert _bits(values) == _bits(shaped(flat))
+                        found.append(_bits(values))
+            return found
+
+        reference, split, threads = _one_cpu_then_split(monkeypatch, compute)
+        assert split == reference
+        assert threads == 12 * _threads_per_call(n, 2)
+
+
+def _large_grid(kind, n, edges):
+    """An n-point grid over every region: sorted, randomly permuted, or
+    sorted with NaN at both ends and in the middle."""
+    grid = np.linspace(edges[0] - 2.0, edges[-1] + 2.0, n)
+    if kind == "permuted":
+        return grid[np.random.default_rng(n).permutation(n)]
+    if kind == "nan":
+        grid[[0, n // 2, n - 1]] = math.nan
+    return grid
+
+
+class _NoThread:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread was asked for")
+
+
+class TestSplitGrids:
+    """A grid of at least two parts of 2^18 points is filled in one equal
+    index range per part, up to one per CPU, all but the first on a thread
+    of its own.  Each point gets the bits of the one-CPU fill, and a part
+    fails as the one-CPU fill does, in the calling thread."""
+
+    @pytest.mark.parametrize("n", SPLIT_SIZES)
+    @pytest.mark.parametrize("kind", ["sorted", "permuted", "nan"])
+    def test_split_grid_gives_the_one_cpu_bits(self, monkeypatch, kind, n):
+        states = _states()
+        xs = _large_grid(kind, n, states[0][1])
+
+        def compute():
+            return [_bits(f(state, xs)) for state, _ in states for f in (evaluate, derivative)]
+
+        reference, split, threads = _one_cpu_then_split(monkeypatch, compute)
+        assert split == reference
+        assert threads == 4 * _threads_per_call(n, 2)
+
+    @pytest.mark.parametrize("n, cpus", [(n, 2) for n in SPLIT_SIZES] + [(3 * PART, 8)])
+    def test_split_sample_gives_the_one_cpu_bits(self, monkeypatch, n, cpus):
+        states = _states()
+        edges = states[0][1]
+
+        def compute():
+            return [_bits(sample(state, edges[0] - 2.0, edges[-1] + 2.0, n)) for state, _ in states]
+
+        reference, split, threads = _one_cpu_then_split(monkeypatch, compute, cpus)
+        assert split == reference
+        assert threads == 4 * _threads_per_call(n, cpus)
+
+    @pytest.mark.parametrize("mode", ["raise", "call"])
+    @pytest.mark.parametrize("field", [evaluate, derivative])
+    def test_caller_error_state_holds_in_the_second_range(self, monkeypatch, field, mode):
+        # Scaled to a quarter of the float64 maximum, the barrier piece
+        # overflows wherever cosh or sinh exceeds 4.  The first range holds
+        # the outer and left-well regions only, the second the barrier.
+        ground, edges = _states()[0]
+        state = replace(ground, amp_0=sys.float_info.max / 4.0)
+        n = 2 * PART
+        xs = np.concatenate((
+            np.linspace(edges[0] - 2.0, edges[1], n // 2, endpoint=False),
+            np.linspace(edges[1], edges[2], n // 2, endpoint=False),
+        ))
+        calls = []
+        monkeypatch.setattr(wavefunc, "_cpus", lambda: 2)
+        # A thread on numpy's default error state would only warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if mode == "raise":
+                with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                    field(state, xs)
+            else:
+                with np.errstate(over="call", call=lambda kind, flag: calls.append(kind)):
+                    values = field(state, xs)
+                assert calls and set(calls) == {"overflow"}
+                assert np.isinf(values[n // 2 :]).any() and np.isfinite(values[: n // 2]).all()
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(wavefunc, "_cpus", lambda: 1)
+        monkeypatch.setattr(threading, "Thread", _NoThread)
+        state, edges = _states()[0]
+        xs = np.linspace(edges[0] - 2.0, edges[-1] + 2.0, 4 * PART)
+        for field in (evaluate, derivative):
+            assert field(state, xs).shape == xs.shape
+        assert sample(state, xs[0], xs[-1], len(xs)).shape == (len(xs), 3)
+
+    def test_cpu_count_is_the_affinity_else_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert wavefunc._cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert wavefunc._cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert wavefunc._cpus() == 1
 
 
 class TestNormalization:
@@ -354,6 +507,20 @@ class TestAssembleAtEnergy:
         for energy in (floor - 0.1, top + 0.1):
             with pytest.raises(EnergyOutOfBand):
                 assemble_at_energy(example_spec, red, Parity.GROUND, energy)
+
+    @pytest.mark.parametrize("wall", ["v_m4", "v_4"])
+    def test_outer_edge_sine_rounding_to_one_is_a_domain_error(self, wall):
+        # An ulp below the outer wall, sqrt((E - V_well) / (V_wall - V_well))
+        # rounds to 1.
+        spec = replace(EXAMPLE_SPEC, **{wall: 0.5})
+        energy = math.nextafter(0.5, 0.0)
+        with pytest.raises(DomainError, match="outer-edge sine >= 1"):
+            assemble_at_energy(spec, reduce(spec), Parity.GROUND, energy)
+
+    def test_inner_phase_well_below_zero_is_a_domain_error(self, example_spec):
+        # At 0.7625 each well holds more than half a wavelength: k w > pi.
+        with pytest.raises(DomainError, match="inner phase out of range"):
+            assemble_at_energy(example_spec, reduce(example_spec), Parity.GROUND, 0.7625)
 
     def test_rejects_non_eigenvalues(self, example_spec):
         red = reduce(example_spec)

@@ -1,12 +1,14 @@
 """List the library statements that Tier-1 never executes.
 
 Runs the Tier-1 suite in this process under a ``sys.settrace`` line tracer
-(standard library only), then prints ``path:line  source`` for each
-statement of ``src/doublewell`` that no test reached, and their count.  A
-statement is one ``ast`` statement or ``except`` clause; it counts as run
-when any line of it that holds bytecode fires a line event.  Tests that
-run the CLI in a subprocess are not traced, so the ``__main__`` lines show
-up, as do the imports under ``if TYPE_CHECKING:``, which never run.
+(standard library only), set for the threads the suite starts too, then
+prints ``path:line  source`` for each statement of ``src/doublewell`` that
+no test reached, and their count.  A statement is one ``ast`` statement or
+``except`` clause; it counts as run when any line of it that holds
+bytecode fires a line event.  Code that no test in this process can run
+is left out of the list: ``__main__.py`` and the bodies of
+``if __name__ == "__main__":`` run only as ``python -m``, which the tests
+start as subprocesses, and the bodies of ``if TYPE_CHECKING:`` never run.
 
 Not a test module, so pytest does not collect it.  Run it from the
 repository root as::
@@ -23,6 +25,7 @@ import ast
 import importlib.util
 import os
 import sys
+import threading
 from collections import defaultdict
 from pathlib import Path
 
@@ -43,18 +46,27 @@ def code_lines(code) -> set[int]:
     return lines
 
 
+# Tests of ``if`` blocks whose bodies no test in this process can run.
+UNREACHABLE_TESTS = {"TYPE_CHECKING", "__name__ == '__main__'"}
+
+
 def statements(path: Path) -> dict[int, int]:
     """Map each bytecode line of ``path`` to the first line of the innermost
-    statement (or ``except`` clause) that holds it."""
+    statement (or ``except`` clause) that holds it, leaving out the bodies
+    of the ``UNREACHABLE_TESTS`` blocks."""
     source = path.read_text(encoding="utf-8")
     owner = {}
+    unreachable = set()
     # ast.walk visits parents before children, so the innermost owner wins.
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.stmt, ast.ExceptHandler)):
             first = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", ()))])
             for line in range(first, node.end_lineno + 1):
                 owner[line] = first
-    return {line: owner[line] for line in code_lines(compile(source, str(path), "exec"))}
+        if isinstance(node, ast.If) and ast.unparse(node.test) in UNREACHABLE_TESTS:
+            unreachable.update(range(node.body[0].lineno, node.body[-1].end_lineno + 1))
+    lines = code_lines(compile(source, str(path), "exec")) - unreachable
+    return {line: owner[line] for line in lines}
 
 
 def trace_suite(root: Path, pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
@@ -74,9 +86,11 @@ def trace_suite(root: Path, pytest_args: list[str]) -> tuple[int, dict[str, set[
         return local if inside[name] else None
 
     sys.settrace(calls)
+    threading.settrace(calls)
     try:
         status = pytest.main(["-q", "--continue-on-collection-errors", *pytest_args])
     finally:
+        threading.settrace(None)
         sys.settrace(None)
     lines: dict[str, set[int]] = defaultdict(set)
     for name, run in hits.items():
@@ -88,7 +102,7 @@ def main(argv: list[str]) -> int:
     root = package_dir()
     status, lines = trace_suite(root, argv)
     missed = []
-    for path in sorted(root.glob("*.py")):
+    for path in sorted(p for p in root.glob("*.py") if p.name != "__main__.py"):
         owner = statements(path)
         run = {owner[line] for line in lines.get(str(path), ()) if line in owner}
         source = path.read_text(encoding="utf-8").splitlines()
