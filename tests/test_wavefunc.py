@@ -317,52 +317,52 @@ class TestGridPaths:
         for field in (evaluate, derivative):
             assert _bits(field(state, xs[perm])) == _bits(field(state, xs)[perm])
 
-    @pytest.mark.parametrize("n", [101, *SPLIT_SIZES])
-    def test_caller_array_is_left_unchanged_and_may_be_read_only(self, monkeypatch, n):
+    def test_caller_array_is_left_unchanged_and_may_be_read_only(self, monkeypatch):
         states = _states()
         edges = states[0][1]
-        grid = np.linspace(edges[0] - 2.0, edges[-1] + 2.0, n)
-        grids = (grid, grid[::-1].copy())
-        before = [_bits(xs) for xs in grids]
-        for xs in grids:
-            xs.flags.writeable = False
+        for n in [101, *SPLIT_SIZES]:
+            grid = np.linspace(edges[0] - 2.0, edges[-1] + 2.0, n)
+            grids = (grid, grid[::-1].copy())
+            before = [_bits(xs) for xs in grids]
+            for xs in grids:
+                xs.flags.writeable = False
 
-        def compute():
-            return [
-                _bits(field(state, xs))
-                for state, _ in states for xs in grids for field in (evaluate, derivative)
-            ]
+            def compute():
+                return [
+                    _bits(field(state, xs))
+                    for state, _ in states for xs in grids for field in (evaluate, derivative)
+                ]
 
-        reference, split, threads = _one_cpu_then_split(monkeypatch, compute)
-        assert split == reference
-        assert threads == 8 * _threads_per_call(n, 2)
-        assert [_bits(xs) for xs in grids] == before
+            reference, split, threads = _one_cpu_then_split(monkeypatch, compute)
+            assert split == reference, n
+            assert threads == 8 * _threads_per_call(n, 2), n
+            assert [_bits(xs) for xs in grids] == before, n
 
-    @pytest.mark.parametrize("n", [60, *SPLIT_SIZES])
-    def test_two_dimensional_input_keeps_its_shape(self, monkeypatch, n):
-        rows = next(d for d in (6, 3, 2, 1) if n % d == 0)
-        # Row-major keeps the grid sorted; the transpose does not (unless
-        # one row is all there is).
-        shapes = (lambda a: a.reshape(rows, -1), lambda a: a.reshape(-1, rows).T)
+    def test_two_dimensional_input_keeps_its_shape(self, monkeypatch):
         states = _states()
         edges = states[0][1]
-        xs = np.linspace(edges[0] - 2.0, edges[-1] + 2.0, n)
+        for n in [60, *SPLIT_SIZES]:
+            rows = next(d for d in (6, 3, 2, 1) if n % d == 0)
+            # Row-major keeps the grid sorted; the transpose does not (unless
+            # one row is all there is).
+            shapes = (lambda a: a.reshape(rows, -1), lambda a: a.reshape(-1, rows).T)
+            xs = np.linspace(edges[0] - 2.0, edges[-1] + 2.0, n)
 
-        def compute():
-            found = []
-            for state, _ in states:
-                for field in (evaluate, derivative):
-                    flat = field(state, xs)
-                    for shaped in shapes:
-                        values = field(state, shaped(xs))
-                        assert values.shape == shaped(xs).shape
-                        assert _bits(values) == _bits(shaped(flat))
-                        found.append(_bits(values))
-            return found
+            def compute():
+                found = []
+                for state, _ in states:
+                    for field in (evaluate, derivative):
+                        flat = field(state, xs)
+                        for shaped in shapes:
+                            values = field(state, shaped(xs))
+                            assert values.shape == shaped(xs).shape
+                            assert _bits(values) == _bits(shaped(flat))
+                            found.append(_bits(values))
+                return found
 
-        reference, split, threads = _one_cpu_then_split(monkeypatch, compute)
-        assert split == reference
-        assert threads == 12 * _threads_per_call(n, 2)
+            reference, split, threads = _one_cpu_then_split(monkeypatch, compute)
+            assert split == reference, n
+            assert threads == 12 * _threads_per_call(n, 2), n
 
 
 def _large_grid(kind, n, edges):
