@@ -231,34 +231,9 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _in_parts(fill, n: int, parts: int) -> bool:
-    """``fill(start, stop)`` on ``parts`` equal ranges of ``range(n)``: the
-    first in this thread, each other one in a thread of its own, started
-    here and joined before this returns, and each under this thread's numpy
-    error state (a new thread would start from numpy's defaults).  False
-    when a range raised."""
-    import threading
-
-    import numpy as np
-
-    call, err = np.geterrcall(), np.geterr()
-    failed = []
-
-    def run(i: int) -> None:
-        try:
-            with np.errstate(call=call, divide=err["divide"], over=err["over"],
-                             under=err["under"], invalid=err["invalid"]):
-                fill(n * i // parts, n * (i + 1) // parts)
-        except Exception:
-            failed.append(i)
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, parts)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    return not failed
+# Points per chunk of a split fill: a chunk's input is 512 KB, so the four
+# passes that fill one region's share of it stay in a core's L2 cache.
+_CHUNK = 2**16
 
 
 def _field(model: WavefunctionModel, x, slope: bool, split: bool = True):
@@ -270,26 +245,39 @@ def _field(model: WavefunctionModel, x, slope: bool, split: bool = True):
     is first sorted by position, filled in that sorted copy and scattered
     back; NaN sorts past every edge into the last region.
 
-    When ``split``, a grid of 2^19 points or more is cut into equal index
-    ranges of at least 2^18 points, one per CPU the process may use (fewer
-    when the grid holds fewer parts), and each range fills its share of
-    every region's slice (see _in_parts).  Every value is elementwise, so
-    the bits do not depend on the ranges.  When a range fails, the grid is
-    filled again in one unsplit pass, which raises the error here."""
+    When ``split``, a grid of 2^19 points or more is filled by up to one
+    thread per CPU the process may use, each with at least 2^18 points of
+    the grid: this thread and helpers started for the call claim chunks of
+    ``_CHUNK`` points in turn from one shared iterator.  Each chunk first
+    checks that it is non-decreasing from the point before it, so every
+    adjacent pair is checked once, and there is no whole-grid check.  Each
+    thread runs under this thread's numpy error state (a new thread would
+    start from numpy's defaults).  The helpers are started without waiting
+    for them to be scheduled; this thread works on the queue at once, and
+    once it finds the queue empty waits for each helper to signal its end,
+    so none outlives the call.  A helper that cannot be started leaves its
+    chunks to the others.  Every value is elementwise, so the bits do not
+    depend on which thread fills which chunk.  When a chunk is out of
+    order or fails, the grid is filled again in one unsplit pass, which
+    sorts it or raises the error here: a grid whose first disorder lies
+    late is filled about twice before its sort."""
     import numpy as np
 
     xs = np.asarray(x, dtype=float)
     points = xs.ravel()
+    n = len(points)
     edges, pieces = _pieces(model)
+    # Threads of 2^18 points or more, up to one per CPU the process may use:
+    # a smaller share saves less than its thread costs.
+    threads = min(_cpus(), n // 2**18) if split and n >= 2**19 else 1
     order = None
-    if (points[1:] >= points[:-1]).all():
+    if threads > 1 or (points[1:] >= points[:-1]).all():
         # A lone NaN passes the check, lands in the last region and stays NaN.
         out = np.empty_like(points)
     else:
         # Equal positions give equal values, so the sort need not be stable.
         order = np.argsort(points)
         points = out = points[order]
-    n = len(points)
     cuts = np.searchsorted(points, edges, side="left").tolist()
 
     def fill(start: int, stop: int) -> None:
@@ -298,13 +286,43 @@ def _field(model: WavefunctionModel, x, slope: bool, split: bool = True):
             if lo < hi:
                 _fill(piece, points[lo:hi], out[lo:hi], slope)
 
-    # Parts of 2^18 points or more, up to one per CPU the process may use:
-    # a smaller part saves less than its thread costs.
-    parts = min(_cpus(), n // 2**18) if split and n >= 2**19 else 1
-    if parts < 2:
+    if threads < 2:
         fill(0, n)
-    elif not _in_parts(fill, n, parts):
-        return _field(model, x, slope, False)
+    else:
+        import _thread
+        import threading
+
+        chunks = iter(range(0, n, _CHUNK))
+        failed = []
+        done = threading.Semaphore(0)
+
+        # The defaults are read here, so every thread that runs work gets
+        # this thread's numpy error state.
+        def work(call=np.geterrcall(), err=np.geterr()) -> None:
+            try:
+                with np.errstate(call=call, divide=err["divide"], over=err["over"],
+                                 under=err["under"], invalid=err["invalid"]):
+                    for start in chunks:
+                        chunk = points[max(start - 1, 0) : start + _CHUNK]
+                        if failed or not (chunk[1:] >= chunk[:-1]).all():
+                            failed.append(True)
+                            break
+                        fill(start, start + _CHUNK)
+            except Exception:
+                failed.append(True)
+            finally:
+                done.release()
+
+        for _ in range(1, threads):
+            try:
+                _thread.start_new_thread(work, ())
+            except RuntimeError:  # no thread to spare: the others fill its chunks
+                done.release()
+        work()
+        for _ in range(threads):
+            done.acquire()
+        if failed:
+            return _field(model, x, slope, False)
     if order is not None:
         out = np.empty_like(points)
         out[order] = points
@@ -409,18 +427,22 @@ def evaluate(model: WavefunctionModel, x):
     is half-open with each boundary belonging to the region on its right;
     continuity makes the choice observationally irrelevant.
 
-    A grid of 2^19 points or more is filled in parts of at least 2^18
-    points, one per CPU the process may use, on threads started and joined
-    within the call.  The values are bit for bit those of a one-CPU fill,
-    every part runs under the caller's numpy error state, and an error in
-    any part is raised from the caller's thread.
+    A grid of 2^19 points or more is filled by the calling thread and up to
+    one helper thread per further CPU the process may use (at least 2^18
+    points per thread), which claim chunks of 2^16 points in turn from one
+    shared queue; each chunk checks its own order on the way, in place of
+    a whole-grid check first.  The helpers are started within the call and
+    have ended when it returns.  The values are bit for bit those of a
+    one-CPU fill, every chunk runs under the caller's numpy error state,
+    and an error in any chunk is raised from the caller's thread.
     """
     return _field(model, x, False)
 
 
 def derivative(model: WavefunctionModel, x):
     """d psi / dx at x; accepts a scalar or an array, and fills a grid of
-    2^19 points or more in parts, one per CPU, as :func:`evaluate` does."""
+    2^19 points or more from one queue of chunks on up to one thread per
+    CPU, as :func:`evaluate` does."""
     return _field(model, x, True)
 
 
@@ -444,8 +466,8 @@ def sample(
     """Uniform endpoint-inclusive table of (x, psi, dpsi), shape (n, 3).
 
     psi and dpsi are :func:`evaluate` and :func:`derivative` on the x
-    column, so 2^19 points or more are filled in parts, one per CPU, with
-    the one-CPU bits.  Raises :class:`BadRange` for a malformed range or
+    column, so 2^19 points or more are filled from one queue of chunks on
+    up to one thread per CPU, with the one-CPU bits.  Raises :class:`BadRange` for a malformed range or
     point count, or one too large to allocate."""
     # An infinite or NaN end, or a width that overflows, leaves the width non-finite.
     if not (x_min < x_max and math.isfinite(x_max - x_min)):

@@ -1,11 +1,13 @@
 """Piecewise wavefunction assembly, normalization, sampling, CSV output."""
 
+import _thread
 import io
 import math
 import os
 import random
 import sys
 import threading
+import time
 import warnings
 from dataclasses import replace
 
@@ -121,33 +123,70 @@ def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
-# A grid is split into parts of at least 2^18 points, so the least grid
-# split holds 2^19.  The sizes about it: one point short, it, one past.
+# A grid is split among threads of at least 2^18 points each, so the least
+# grid split holds 2^19.  The sizes about it: one point short, it, one past.
 PART = 2**18
 SPLIT_SIZES = [2 * PART - 1, 2 * PART, 2 * PART + 1]
+CHUNK = wavefunc._CHUNK
+
+# How a split fill starts each helper thread: _thread.start_new_thread.
+_START = _thread.start_new_thread
 
 
 def _threads_per_call(n, cpus):
-    """Threads one field call starts on a grid of n points with ``cpus``."""
+    """Helper threads one field call starts on a grid of n points with ``cpus``."""
     return min(cpus, n // PART) - 1 if n >= 2 * PART else 0
 
 
-def _one_cpu_then_split(monkeypatch, compute, cpus=2):
-    """``compute()`` with the CPU count patched to 1, then to ``cpus``, and
-    the number of threads the second call started."""
+def _one_cpu_then_split(monkeypatch, compute, cpus=2, start=_START):
+    """``compute()`` with the CPU count patched to 1, then to ``cpus`` with
+    each helper started by ``start``, and the number of helpers the second
+    call asked ``start`` for."""
     started = []
 
-    class Counted(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
+    def counted(function, args):
+        started.append(function)
+        return start(function, args)
 
-    monkeypatch.setattr(threading, "Thread", Counted)
+    monkeypatch.setattr(_thread, "start_new_thread", counted)
     monkeypatch.setattr(wavefunc, "_cpus", lambda: 1)
     reference = compute()
     assert not started
     monkeypatch.setattr(wavefunc, "_cpus", lambda: cpus)
     return reference, compute(), len(started)
+
+
+def _start_first(function, args):
+    """Runs the helper to its end before returning, so the helpers fill
+    every chunk, or find the disorder, before the calling thread takes one."""
+    helper = threading.Thread(target=function, args=args)
+    helper.start()
+    helper.join(60.0)
+    assert not helper.is_alive()
+
+
+def _held(ran):
+    """A helper start that holds each helper back until the calling thread
+    has emptied the queue on its own (a split fill of 2^19 points takes a
+    few ms), then notes the helper in ``ran`` and lets it go on."""
+
+    def start(function, args):
+        def late(*args):
+            time.sleep(0.05)
+            ran.append(function)
+            function(*args)
+
+        return _START(late, args)
+
+    return start
+
+
+def _start_failing(function, args):
+    raise RuntimeError("can't start new thread")
+
+
+def _no_start(function, args):
+    raise AssertionError("a helper thread was asked for")
 
 
 def _potential(spec, x):
@@ -366,30 +405,38 @@ class TestGridPaths:
 
 
 def _large_grid(kind, n, edges):
-    """An n-point grid over every region: sorted, randomly permuted, or
-    sorted with NaN at both ends and in the middle."""
+    """An n-point grid over every region: sorted, randomly permuted, sorted
+    with NaN at both ends and in the middle, or sorted but for one pair out
+    of order.  That pair straddles the boundary of the grid's fifth chunk
+    (its last point moved to the right tail), or ends the grid (the last
+    point moved to the left tail), so an unnoticed disorder would fill
+    either point with the wrong region's piece."""
     grid = np.linspace(edges[0] - 2.0, edges[-1] + 2.0, n)
     if kind == "permuted":
         return grid[np.random.default_rng(n).permutation(n)]
     if kind == "nan":
         grid[[0, n // 2, n - 1]] = math.nan
+    if kind == "straddle":
+        grid[4 * CHUNK - 1] = grid[-1]
+    if kind == "late":
+        grid[-1] = grid[0]
     return grid
 
 
-class _NoThread:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a thread was asked for")
-
-
 class TestSplitGrids:
-    """A grid of at least two parts of 2^18 points is filled in one equal
-    index range per part, up to one per CPU, all but the first on a thread
-    of its own.  Each point gets the bits of the one-CPU fill, and a part
-    fails as the one-CPU fill does, in the calling thread."""
+    """A grid of at least two shares of 2^18 points is filled by up to one
+    thread per CPU, all but the calling thread started for the call, from
+    one queue of chunks that each check their own order.  Each point gets
+    the bits of the one-CPU fill whichever thread fills which chunk, a
+    disorder anywhere sorts the grid, and a chunk fails as the one-CPU fill
+    does, in the calling thread."""
 
     @pytest.mark.parametrize("n", SPLIT_SIZES)
-    @pytest.mark.parametrize("kind", ["sorted", "permuted", "nan"])
+    @pytest.mark.parametrize("kind", ["sorted", "permuted", "nan", "straddle", "late"])
     def test_split_grid_gives_the_one_cpu_bits(self, monkeypatch, kind, n):
+        # Helpers started as usual, run to their end before the calling
+        # thread works, held back until it has emptied the queue, or not
+        # started at all: the call returns only after every helper has run.
         states = _states()
         xs = _large_grid(kind, n, states[0][1])
 
@@ -399,6 +446,11 @@ class TestSplitGrids:
         reference, split, threads = _one_cpu_then_split(monkeypatch, compute)
         assert split == reference
         assert threads == 4 * _threads_per_call(n, 2)
+        ran = []
+        for start in (_start_first, _start_failing, _held(ran)):
+            monkeypatch.setattr(_thread, "start_new_thread", start)
+            assert compute() == reference, start
+        assert len(ran) == threads
 
     @pytest.mark.parametrize("n, cpus", [(n, 2) for n in SPLIT_SIZES] + [(3 * PART, 8)])
     def test_split_sample_gives_the_one_cpu_bits(self, monkeypatch, n, cpus):
@@ -408,7 +460,15 @@ class TestSplitGrids:
         def compute():
             return [_bits(sample(state, edges[0] - 2.0, edges[-1] + 2.0, n)) for state, _ in states]
 
-        reference, split, threads = _one_cpu_then_split(monkeypatch, compute, cpus)
+        # Threads switched as often as the interpreter allows, and with 8
+        # CPUs more threads than most machines have cores: a chunk that the
+        # shared queue lost would show in the bits.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reference, split, threads = _one_cpu_then_split(monkeypatch, compute, cpus)
+        finally:
+            sys.setswitchinterval(interval)
         assert split == reference
         assert threads == 4 * _threads_per_call(n, cpus)
 
@@ -416,8 +476,10 @@ class TestSplitGrids:
     @pytest.mark.parametrize("field", [evaluate, derivative])
     def test_caller_error_state_holds_in_the_second_range(self, monkeypatch, field, mode):
         # Scaled to a quarter of the float64 maximum, the barrier piece
-        # overflows wherever cosh or sinh exceeds 4.  The first range holds
-        # the outer and left-well regions only, the second the barrier.
+        # overflows wherever cosh or sinh exceeds 4.  The first half of the
+        # chunks holds the outer and left-well regions only, the second half
+        # the barrier.  Started first, the helper fills every chunk, so only
+        # a helper meets the overflow.
         ground, edges = _states()[0]
         state = replace(ground, amp_0=sys.float_info.max / 4.0)
         n = 2 * PART
@@ -425,23 +487,26 @@ class TestSplitGrids:
             np.linspace(edges[0] - 2.0, edges[1], n // 2, endpoint=False),
             np.linspace(edges[1], edges[2], n // 2, endpoint=False),
         ))
-        calls = []
         monkeypatch.setattr(wavefunc, "_cpus", lambda: 2)
-        # A thread on numpy's default error state would only warn.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if mode == "raise":
-                with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-                    field(state, xs)
-            else:
-                with np.errstate(over="call", call=lambda kind, flag: calls.append(kind)):
-                    values = field(state, xs)
-                assert calls and set(calls) == {"overflow"}
-                assert np.isinf(values[n // 2 :]).any() and np.isfinite(values[: n // 2]).all()
+        for start in (_START, _start_first):
+            monkeypatch.setattr(_thread, "start_new_thread", start)
+            calls = []
+            # A thread on numpy's default error state would only warn.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                if mode == "raise":
+                    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                        field(state, xs)
+                else:
+                    with np.errstate(over="call", call=lambda kind, flag: calls.append(kind)):
+                        values = field(state, xs)
+                    assert calls and set(calls) == {"overflow"}
+                    assert np.isinf(values[n // 2 :]).any()
+                    assert np.isfinite(values[: n // 2]).all()
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(wavefunc, "_cpus", lambda: 1)
-        monkeypatch.setattr(threading, "Thread", _NoThread)
+        monkeypatch.setattr(_thread, "start_new_thread", _no_start)
         state, edges = _states()[0]
         xs = np.linspace(edges[0] - 2.0, edges[-1] + 2.0, 4 * PART)
         for field in (evaluate, derivative):

@@ -1,9 +1,12 @@
 """List the library statements that Tier-1 never executes.
 
 Runs the Tier-1 suite in this process under a ``sys.settrace`` line tracer
-(standard library only), set for the threads the suite starts too, then
-prints ``path:line  source`` for each statement of ``src/doublewell`` that
-no test reached, and their count.  A statement is one ``ast`` statement or
+(standard library only), set for the threads the suite starts through
+``threading`` too, then prints ``path:line  source`` for each statement
+of ``src/doublewell`` that no test reached, and their count.  The helpers
+of a split grid fill, started through ``_thread``, are not traced; they
+run the code of the calling thread, and the tests also run them as
+``threading`` threads.  A statement is one ``ast`` statement or
 ``except`` clause; it counts as run when any line of it that holds
 bytecode fires a line event.  Code that no test in this process can run
 is left out of the list: ``__main__.py`` and the bodies of
