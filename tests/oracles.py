@@ -96,6 +96,41 @@ def example_constants() -> dict[str, float]:
         }
 
 
+def _mp_propagate(spec, e: mp.mpf) -> tuple[int, mp.mpf]:
+    """Interior nodes of the decaying left solution u at energy ``e`` and
+    its right-wall mismatch u'/(u kappa_4) + 1, in the current mpmath
+    precision: across the five regions, counting the nodes region by
+    region."""
+    mass, hbar = mp.mpf(spec.mass), mp.mpf(spec.hbar)
+    walls = [mp.mpf(v) for v in (spec.v_m4, spec.v_m2, spec.v_0, spec.v_2, spec.v_4)]
+    widths = [mp.mpf(w) for w in (spec.w_m2, spec.w_0, spec.w_2)]
+    kap_m4, k_m2, kap_0, k_2, kap_4 = (mp.sqrt(2 * mass * abs(e - v)) / hbar for v in walls)
+    u, up, nodes = mp.mpf(1), kap_m4, 0
+    for k, w, well in ((k_m2, widths[0], True), (kap_0, widths[1], False),
+                       (k_2, widths[2], True)):
+        c, d = u, up / k
+        if well:  # u = c cos(kt) + d sin(kt) = r sin(kt + phi)
+            phi = mp.atan2(c, d)
+            nodes += int(mp.floor((k * w + phi) / mp.pi) - mp.floor(phi / mp.pi))
+            u = c * mp.cos(k * w) + d * mp.sin(k * w)
+            up = k * (-c * mp.sin(k * w) + d * mp.cos(k * w))
+        else:  # u = c cosh(kt) + d sinh(kt)
+            nodes += int(d != 0 and 0 < -c / d < mp.tanh(k * w))
+            u = c * mp.cosh(k * w) + d * mp.sinh(k * w)
+            up = k * (c * mp.sinh(k * w) + d * mp.cosh(k * w))
+    return nodes, up / (u * kap_4) + 1 if u else mp.sign(up) * mp.inf
+
+
+def mp_shoot(spec, energy: float, dps: int = 40) -> tuple[int, float]:
+    """``(nodes, mismatch)`` of one arbitrary-precision shot at ``energy``
+    (see :func:`mp_levels`); within a level's node window the mismatch is
+    positive below the level and negative above it.  ``dps`` obeys the
+    same opacity bound as in :func:`mp_levels`."""
+    with mp.workdps(dps):
+        nodes, mismatch = _mp_propagate(spec, mp.mpf(energy))
+        return nodes, float(mismatch)
+
+
 def mp_levels(spec, dps: int = 40) -> tuple[float, float]:
     """Exact two lowest eigenvalues of any spec via mpmath.
 
@@ -109,28 +144,7 @@ def mp_levels(spec, dps: int = 40) -> tuple[float, float]:
     so that the decaying barrier solution survives beside the growing one.
     """
     with mp.workdps(dps):
-        mass, hbar = mp.mpf(spec.mass), mp.mpf(spec.hbar)
         walls = [mp.mpf(v) for v in (spec.v_m4, spec.v_m2, spec.v_0, spec.v_2, spec.v_4)]
-        widths = [mp.mpf(w) for w in (spec.w_m2, spec.w_0, spec.w_2)]
-
-        def propagate(e: mp.mpf) -> tuple[int, mp.mpf]:
-            kap_m4, k_m2, kap_0, k_2, kap_4 = (
-                mp.sqrt(2 * mass * abs(e - v)) / hbar for v in walls
-            )
-            u, up, nodes = mp.mpf(1), kap_m4, 0
-            for k, w, well in ((k_m2, widths[0], True), (kap_0, widths[1], False),
-                               (k_2, widths[2], True)):
-                c, d = u, up / k
-                if well:  # u = c cos(kt) + d sin(kt) = r sin(kt + phi)
-                    phi = mp.atan2(c, d)
-                    nodes += int(mp.floor((k * w + phi) / mp.pi) - mp.floor(phi / mp.pi))
-                    u = c * mp.cos(k * w) + d * mp.sin(k * w)
-                    up = k * (-c * mp.sin(k * w) + d * mp.cos(k * w))
-                else:  # u = c cosh(kt) + d sinh(kt)
-                    nodes += int(d != 0 and 0 < -c / d < mp.tanh(k * w))
-                    u = c * mp.cosh(k * w) + d * mp.sinh(k * w)
-                    up = k * (c * mp.sinh(k * w) + d * mp.cosh(k * w))
-            return nodes, up / (u * kap_4) + 1 if u else mp.sign(up) * mp.inf
 
         def bisect(lo: mp.mpf, hi: mp.mpf, upper) -> tuple[mp.mpf, mp.mpf]:
             for _ in range(int(3.4 * dps) + 20):
@@ -144,10 +158,10 @@ def mp_levels(spec, dps: int = 40) -> tuple[float, float]:
         levels = []
         for n in (0, 1):
             lo, hi = bottom, top
-            if propagate(lo)[0] < n:
-                lo = bisect(lo, hi, lambda e: propagate(e)[0] >= n)[1]
-            if propagate(hi)[0] > n:
-                hi = bisect(lo, hi, lambda e: propagate(e)[0] > n)[0]
-            below, above = bisect(lo, hi, lambda e: propagate(e)[1] < 0)
+            if _mp_propagate(spec, lo)[0] < n:
+                lo = bisect(lo, hi, lambda e: _mp_propagate(spec, e)[0] >= n)[1]
+            if _mp_propagate(spec, hi)[0] > n:
+                hi = bisect(lo, hi, lambda e: _mp_propagate(spec, e)[0] > n)[0]
+            below, above = bisect(lo, hi, lambda e: _mp_propagate(spec, e)[1] < 0)
             levels.append(float((below + above) / 2))
         return levels[0], levels[1]

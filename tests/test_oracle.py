@@ -6,7 +6,7 @@ import sys
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doublewell import (
@@ -30,7 +30,7 @@ from doublewell.params import band
 from genspecs import (
     EXAMPLE_SPEC, asymmetric_spec, dyadic_images, mixed_spec_batch, random_symmetric_spec,
 )
-from oracles import EXAMPLE_E0_EXACT, EXAMPLE_E1_EXACT, mp_levels
+from oracles import EXAMPLE_E0_EXACT, EXAMPLE_E1_EXACT, mp_levels, mp_shoot
 
 UNBOUND_SPEC = WellSpec(
     hbar=1.0,
@@ -50,6 +50,16 @@ UNBOUND_SPEC = WellSpec(
 NO_WINDOW_SPEC = WellSpec(
     hbar=1.0, mass=2.0, v_m4=1.0, v_m2=0.0, v_0=1.0, v_2=0.6, v_4=1.0,
     w_m2=6.0, w_0=10.0, w_2=2.0,
+)
+
+# Both levels lie within 3.2e-4 of E = 0 on a band of width 0.62: float64
+# shots resolve the residual there only to about 5e-17 in energy, coarser
+# than tol_rel |E| = 3e-17 at tol_rel 1e-13.
+NEAR_ZERO_SPEC = WellSpec(
+    hbar=0.9531617625344702, mass=0.9560941692219406, v_m4=0.5884446201591764,
+    v_m2=-0.13695295383412365, v_0=0.48211851345495427, v_2=-0.22888960372644696,
+    v_4=0.9904567131866044, w_m2=4.095451542791293, w_0=9.087682893197838,
+    w_2=3.008235506708733, x_m3=0.3455249117698078,
 )
 
 # Narrow wells under a low barrier: the phase at the band top is 1.27,
@@ -502,14 +512,22 @@ class TestFindLevel:
 
     @settings(max_examples=150, deadline=None)
     @given(spec=core_specs())
+    @example(spec=NEAR_ZERO_SPEC)
     def test_every_root_is_bracketed(self, spec):
+        # The sign change is judged by 40-digit shots: a float64 shot rounds
+        # V - E to ulp(V), so for a level near E = 0 its residual flips sign
+        # within a few tol_rel |E| of the level (NEAR_ZERO_SPEC).
         tol_rel = 1e-13
         for count, parity in enumerate((Parity.GROUND, Parity.EXCITED)):
             root = find_level(spec, parity, tol_rel)
             below = shoot(spec, root * (1.0 - 2.0 * tol_rel))
             above = shoot(spec, root * (1.0 + 2.0 * tol_rel))
             assert nodes(below) == nodes(above) == count
-            assert (below.residual > 0.0) != (above.residual > 0.0)
+            (nodes_below, below_mismatch), (nodes_above, above_mismatch) = (
+                mp_shoot(spec, below.energy), mp_shoot(spec, above.energy)
+            )
+            assert nodes_below == nodes_above == count
+            assert (below_mismatch > 0.0) != (above_mismatch > 0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(spec=core_specs())
