@@ -67,13 +67,6 @@ class OracleComparison:
     err_ratio: float
 
 
-def _rescale(theta: float, radius: float, ratio: float) -> tuple[float, float]:
-    """Re-read u = R sin(theta), u'/k = R cos(theta) in the scale k/ratio,
-    keeping theta's quadrant."""
-    s, c = math.sin(theta), math.cos(theta)
-    return theta - math.atan2(s, c) + math.atan2(s, c * ratio), radius * math.hypot(s, c * ratio)
-
-
 def shoot(spec: WellSpec, energy: float) -> ShootResult:
     """Propagate the left-decaying solution across all five regions.
 
@@ -89,22 +82,30 @@ def shoot(spec: WellSpec, energy: float) -> ShootResult:
     (so the residual) overflows.
     """
     kappa_m4, k_m2, kappa_0, k_2, kappa_4 = wavenumbers(spec, energy)
+    sin, cos, atan2, hypot = math.sin, math.cos, math.atan2, math.hypot
     try:
         # u = 1, u' = kappa_m4 at the left wall; the left well turns the phase.
+        # Each edge re-reads u = R sin(theta), u'/k = R cos(theta) in the next
+        # region's scale k': theta's quadrant is kept, cos(theta) scaled by k/k'.
         ratio = kappa_m4 / k_m2
-        theta = math.atan2(1.0, ratio) + k_m2 * spec.w_m2
-        theta, radius = _rescale(theta, math.hypot(1.0, ratio), k_m2 / kappa_0)
+        theta = atan2(1.0, ratio) + k_m2 * spec.w_m2
+        s_m1, c_m1 = sin(theta), cos(theta)
+        theta = theta - atan2(s_m1, c_m1) + atan2(s_m1, c_m1 * (k_m2 / kappa_0))
 
         # Barrier: u = grow e^{kappa_0 t} + decay e^{-kappa_0 t}, times e^{-kappa_0 w_0}.
-        u, v = math.sin(theta), math.cos(theta)
+        u, v = sin(theta), cos(theta)
         grow = 0.5 * (u + v)
         decay = 0.5 * (u - v) * math.exp(-2.0 * kappa_0 * spec.w_0)
         u, v = grow + decay, grow - decay
-        theta += math.remainder(math.atan2(u, v) - theta, 2.0 * math.pi)
-        theta, radius = _rescale(theta, radius * math.hypot(u, v), kappa_0 / k_2)
-
-        theta, radius = _rescale(theta + k_2 * spec.w_2, radius, k_2 / kappa_4)
-        u, v = radius * math.sin(theta), radius * math.cos(theta)
+        theta += math.remainder(atan2(u, v) - theta, 2.0 * math.pi)
+        s_1, c_1 = sin(theta), cos(theta)
+        theta = theta - atan2(s_1, c_1) + atan2(s_1, c_1 * (kappa_0 / k_2)) + k_2 * spec.w_2
+        s_3, c_3 = sin(theta), cos(theta)
+        theta = theta - atan2(s_3, c_3) + atan2(s_3, c_3 * (k_2 / kappa_4))
+        # R: the left wall's hypot(1, ratio) times each factor in the order it arose.
+        radius = hypot(1.0, ratio) * hypot(s_m1, c_m1 * (k_m2 / kappa_0)) * hypot(u, v)
+        radius = radius * hypot(s_1, c_1 * (kappa_0 / k_2)) * hypot(s_3, c_3 * (k_2 / kappa_4))
+        u, v = radius * sin(theta), radius * cos(theta)
     except ValueError:  # sin, cos or remainder of an infinite phase
         raise AssumptionViolated(
             f"the phase leaves the float64 range at energy {energy!r}: wavenumbers "
@@ -119,7 +120,7 @@ def shoot(spec: WellSpec, energy: float) -> ShootResult:
     return ShootResult(energy, theta, residual)
 
 
-def _muller(points: list[tuple[float, float]]) -> float:
+def _muller(points: tuple[tuple[float, float], ...]) -> float:
     """Zero, nearest the last point, of the parabola through three (energy,
     value) points (a line when the first two coincide); a Newton step on it
     when it has no real zero, NaN when that is undefined."""
@@ -145,16 +146,17 @@ def _refine(
     A bisection follows whenever two steps have not halved the bracket or
     the step lands farther outside it (as it does on NaN residuals).
     """
-    points = [(lo.energy, lo.residual)] * 2 + [(hi.energy, hi.residual)]
-    widths = [math.inf, math.inf, hi.energy - lo.energy]
+    # The latest three (trial, residual) points and bracket widths, oldest first.
+    points = ((lo.energy, lo.residual),) * 2 + ((hi.energy, hi.residual),)
+    widths = (math.inf, math.inf, hi.energy - lo.energy)
     while True:
         a, b = lo.energy, hi.energy
         mid, width = 0.5 * (a + b), tol_rel * max(abs(a), abs(b))
         if b - a <= width or not a < mid < b:
             return lo, hi
         trial = mid
-        if widths[-1] <= 0.5 * widths[-3]:
-            x, step = _muller(points[-3:]), max(0.5 * width, math.ulp(points[-1][0]))
+        if widths[2] <= 0.5 * widths[0]:
+            x, step = _muller(points), max(0.5 * width, math.ulp(points[2][0]))
             if a - step < x < b + step:
                 trial = min(max(x, a + step), b - step)
             if not a < trial < b:
@@ -164,8 +166,8 @@ def _refine(
             hi = shot
         else:
             lo = shot
-        points.append((trial, shot.residual))
-        widths.append(hi.energy - lo.energy)
+        points = (points[1], points[2], (trial, shot.residual))
+        widths = (widths[1], widths[2], hi.energy - lo.energy)
 
 
 def _bracket(

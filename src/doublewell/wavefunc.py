@@ -167,20 +167,13 @@ def _assemble_core(
 
 
 # A piece is psi = amp f(rate (x - origin)) on one constant-potential region.
-# Per kind: the name of f and of the function g in its slope
-# dpsi/dx = (sign amp) rate g(...), that sign, and what its mass needs: None
-# for exp (always a semi-infinite tail decaying away from its origin), else
-# (s, h) with the integral of [amp f(rate (x - origin))]^2 over [a, b] equal to
-# amp^2 [s (b - a)/2 + (h(2 rate (b - origin)) - h(2 rate (a - origin))) / (4 rate)].
-# The names resolve in numpy for _fill, and once, in math, for _piece.
+# Per kind: the numpy name of f, of the function g in its slope
+# dpsi/dx = (sign amp) rate g(...), and that sign.
 _KINDS = {
-    "exp": ("exp", "exp", 1.0, None),
-    "cos": ("cos", "sin", -1.0, (1.0, math.sin)),
-    "cosh": ("cosh", "sinh", 1.0, (1.0, math.sinh)),
-    "sinh": ("sinh", "cosh", 1.0, (-1.0, math.sinh)),
-}
-_MATH_KINDS = {
-    kind: (getattr(math, f), getattr(math, g), sign) for kind, (f, g, sign, _) in _KINDS.items()
+    "exp": ("exp", "exp", 1.0),
+    "cos": ("cos", "sin", -1.0),
+    "cosh": ("cosh", "sinh", 1.0),
+    "sinh": ("sinh", "cosh", 1.0),
 }
 
 Piece = tuple[str, float, float, float]
@@ -206,20 +199,13 @@ def _pieces(model: WavefunctionModel) -> tuple[tuple[float, ...], tuple[Piece, .
     )
 
 
-def _piece(piece: Piece, x: float) -> tuple[float, float]:
-    """One piece's (psi, dpsi/dx) at one float x, in math."""
-    kind, amp, rate, origin = piece
-    f, g, sign = _MATH_KINDS[kind]
-    t = (x - origin) * rate
-    return amp * f(t), (sign * amp) * rate * g(t)
-
-
 def _fill(piece: Piece, xs, out, slope: bool) -> None:
-    """_piece at an array xs in numpy, written into ``out`` (may be xs)."""
+    """One piece's psi, or dpsi/dx when ``slope``, at an array xs in numpy,
+    written into ``out`` (may be xs)."""
     import numpy as np
 
     kind, amp, rate, origin = piece
-    f, g, sign, _ = _KINDS[kind]
+    f, g, sign = _KINDS[kind]
     np.subtract(xs, origin, out=out)
     out *= rate
     getattr(np, g if slope else f)(out, out=out)
@@ -329,27 +315,29 @@ def _field(model: WavefunctionModel, x, slope: bool, split: bool = True):
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
-def _mass(piece: Piece, a: float, b: float) -> float:
-    """Integral of the piece's psi^2 over [a, b] (over its whole tail for exp)."""
-    kind, amp, rate, origin = piece
-    wave = _KINDS[kind][3]
-    if wave is None:
-        return amp**2 / (2.0 * abs(rate))
-    s, h = wave
-    return amp * amp * (
-        s * 0.5 * (b - a)
-        + (h(2.0 * rate * (b - origin)) - h(2.0 * rate * (a - origin))) / (4.0 * rate)
-    )
-
-
 def _boundary_pairs(
     model: WavefunctionModel,
 ) -> list[tuple[float, tuple[float, float], tuple[float, float]]]:
-    """(boundary x, (value, slope) from the left region, same from the right)."""
-    edges, pieces = _pieces(model)
+    """(boundary x, (value, slope) from the left region, same from the
+    right), left to right.  Each region's psi = amp f(rate (x - origin)) has
+    slope amp rate f'(...), the excited state's minus sign on the two left
+    amplitudes; a tail at its own edge reads amp exp(0) = amp."""
+    excited = model.parity == _EXCITED
+    f, g, sign = (math.sinh, math.cosh, -1.0) if excited else (math.cosh, math.sinh, 1.0)
+    cos, sin, node = math.cos, math.sin, model.barrier_node
+    x_m3, x_m1, x_1, x_3 = model.x_m3, model.x_m1, model.x_1, model.x_3
+    amp_m4, amp_l, amp_r = sign * model.amp_m4, sign * model.amp_m2, model.amp_2
+    amp_0, k_l, kappa_0, k_r = model.amp_0, model.k_m2, model.kappa_0, model.k_2
+    # A well's slope is (-amp k) sin(...), the barrier's (amp kappa_0) g(...).
+    slope_l, slope_0, slope_r = -amp_l * k_l, amp_0 * kappa_0, -amp_r * k_r
+    t_m3, t_m1 = (x_m3 - model.extremum_left) * k_l, (x_m1 - model.extremum_left) * k_l
+    t_1, t_3 = (x_1 - model.extremum_right) * k_r, (x_3 - model.extremum_right) * k_r
+    b_m1, b_1 = (x_m1 - node) * kappa_0, (x_1 - node) * kappa_0
     return [
-        (x, _piece(left, x), _piece(right, x))
-        for x, left, right in zip(edges, pieces, pieces[1:])
+        (x_m3, (amp_m4, amp_m4 * model.kappa_m4), (amp_l * cos(t_m3), slope_l * sin(t_m3))),
+        (x_m1, (amp_l * cos(t_m1), slope_l * sin(t_m1)), (amp_0 * f(b_m1), slope_0 * g(b_m1))),
+        (x_1, (amp_0 * f(b_1), slope_0 * g(b_1)), (amp_r * cos(t_1), slope_r * sin(t_1))),
+        (x_3, (amp_r * cos(t_3), slope_r * sin(t_3)), (model.amp_4, model.amp_4 * -model.kappa_4)),
     ]
 
 
@@ -448,15 +436,48 @@ def derivative(model: WavefunctionModel, x):
 
 def probabilities(model: WavefunctionModel) -> tuple[float, float]:
     """Exact analytic probability masses left and right of the barrier
-    extremum.  For a normalized model the two sum to 1 up to rounding."""
-    edges, pieces = _pieces(model)
-    node = model.barrier_node
-    left = right = 0.0
-    for a, b, piece in zip((-math.inf, *edges), (*edges, math.inf), pieces):
-        if a < node:
-            left += _mass(piece, a, min(b, node))
-        if b > node:
-            right += _mass(piece, max(a, node), b)
+    extremum (node, when excited).  For a normalized model the two sum to 1
+    up to rounding.
+
+    Each region's psi^2 integrates in closed form.  A tail amp^2 e^{-2 kappa
+    |x - edge|} holds amp^2 / (2 kappa) in all.  Over [a, b], a well
+    amp^2 cos^2(k (x - c)) about its extremum c holds amp^2 [(b - a)/2 +
+    (sin 2k(b - c) - sin 2k(a - c)) / (4k)], and the barrier amp^2 cosh^2
+    (ground) or sinh^2 (excited) of kappa_0 (x - node) holds amp^2 [+-(b -
+    a)/2 + (sinh 2 kappa_0 (b - node) - sinh 2 kappa_0 (a - node)) /
+    (4 kappa_0)].  Each of these three inner regions [a, b] is cut at the
+    node clamped into it: the part below the cut counts left when a < node,
+    the part above it counts right when b > node, so a region wholly on one
+    side of the node counts whole on that side.  The left tail counts left
+    unless the node is -inf, and right too when the node lies inside it;
+    the right tail mirrors that.  Each side sums its regions from left to
+    right, and a NaN node counts none.
+    """
+    node, x_m3, x_m1, x_1, x_3 = model.barrier_node, model.x_m3, model.x_m1, model.x_1, model.x_3
+    sin, sinh = math.sin, math.sinh
+    # Per inner region: amp^2, twice the rate (so 2 k_l = 4 k_m2 exactly), the
+    # cut, and sin or sinh of twice the rate times x - origin at a, the cut, b.
+    p_l, k_l, o_l = model.amp_m2 * model.amp_m2, 2.0 * model.k_m2, model.extremum_left
+    c_l = (node if node < x_m1 else x_m1) if x_m3 < node else x_m3
+    a_l, m_l, b_l = sin(k_l * (x_m3 - o_l)), sin(k_l * (c_l - o_l)), sin(k_l * (x_m1 - o_l))
+    p_0, k_0 = model.amp_0 * model.amp_0, 2.0 * model.kappa_0
+    half = -0.5 if model.parity == _EXCITED else 0.5
+    c_0 = (node if node < x_1 else x_1) if x_m1 < node else x_m1
+    a_0, m_0, b_0 = sinh(k_0 * (x_m1 - node)), sinh(k_0 * (c_0 - node)), sinh(k_0 * (x_1 - node))
+    p_r, k_r, o_r = model.amp_2 * model.amp_2, 2.0 * model.k_2, model.extremum_right
+    c_r = (node if node < x_3 else x_3) if x_1 < node else x_1
+    a_r, m_r, b_r = sin(k_r * (x_1 - o_r)), sin(k_r * (c_r - o_r)), sin(k_r * (x_3 - o_r))
+    # Each side is a sum from 0.0; an excluded region adds 0.0, which leaves it as it was.
+    left = 0.0 + (model.amp_m4**2 / (2.0 * model.kappa_m4) if -math.inf < node else 0.0)
+    left += p_l * (0.5 * (c_l - x_m3) + (m_l - a_l) / (2.0 * k_l)) if x_m3 < node else 0.0
+    left += p_0 * (half * (c_0 - x_m1) + (m_0 - a_0) / (2.0 * k_0)) if x_m1 < node else 0.0
+    left += p_r * (0.5 * (c_r - x_1) + (m_r - a_r) / (2.0 * k_r)) if x_1 < node else 0.0
+    left += model.amp_4**2 / (2.0 * model.kappa_4) if x_3 < node else 0.0
+    right = 0.0 + (model.amp_m4**2 / (2.0 * model.kappa_m4) if x_m3 > node else 0.0)
+    right += p_l * (0.5 * (x_m1 - c_l) + (b_l - m_l) / (2.0 * k_l)) if x_m1 > node else 0.0
+    right += p_0 * (half * (x_1 - c_0) + (b_0 - m_0) / (2.0 * k_0)) if x_1 > node else 0.0
+    right += p_r * (0.5 * (x_3 - c_r) + (b_r - m_r) / (2.0 * k_r)) if x_3 > node else 0.0
+    right += model.amp_4**2 / (2.0 * model.kappa_4) if math.inf > node else 0.0
     return left, right
 
 

@@ -5,6 +5,12 @@ Everything here deliberately uses different algorithms from the library
 fixed-point evaluation, arbitrary-precision propagation instead of
 float64, closed forms instead of pipelines), so agreement between the
 two is meaningful evidence of correctness rather than a tautology.
+
+The one exception is the table-driven kernels at the end
+(:func:`ref_shoot`, :func:`ref_boundary_pairs`, :func:`ref_probabilities`):
+a per-region table dispatch that does the library's floating-point
+operations in the same order, so that the library's straight-line kernels
+can be held to its bits.
 """
 
 from __future__ import annotations
@@ -165,3 +171,97 @@ def mp_levels(spec, dps: int = 40) -> tuple[float, float]:
             below, above = bisect(lo, hi, lambda e: _mp_propagate(spec, e)[1] < 0)
             levels.append(float((below + above) / 2))
         return levels[0], levels[1]
+
+
+# Table-driven kernels: each region is one (kind, amp, rate, origin) piece,
+# psi = amp f(rate (x - origin)) with slope (sign amp) rate g(...), looked up
+# per kind.  Its mass over [a, b] is amp^2 [s (b - a)/2 + (h(2 rate (b -
+# origin)) - h(2 rate (a - origin))) / (4 rate)], or amp^2 / (2 |rate|) over
+# a whole exp tail.
+_REF_KINDS = {
+    "exp": (math.exp, math.exp, 1.0, None),
+    "cos": (math.cos, math.sin, -1.0, (1.0, math.sin)),
+    "cosh": (math.cosh, math.sinh, 1.0, (1.0, math.sinh)),
+    "sinh": (math.sinh, math.cosh, 1.0, (-1.0, math.sinh)),
+}
+
+
+def _ref_pieces(model):
+    """``(edges, pieces)`` of a model, the excited sign folded into the
+    two left amplitudes; a boundary belongs to the region on its right."""
+    excited = model.parity.value == "excited"
+    sign = -1.0 if excited else 1.0
+    return (model.x_m3, model.x_m1, model.x_1, model.x_3), (
+        ("exp", sign * model.amp_m4, model.kappa_m4, model.x_m3),
+        ("cos", sign * model.amp_m2, model.k_m2, model.extremum_left),
+        ("sinh" if excited else "cosh", model.amp_0, model.kappa_0, model.barrier_node),
+        ("cos", model.amp_2, model.k_2, model.extremum_right),
+        ("exp", model.amp_4, -model.kappa_4, model.x_3),
+    )
+
+
+def _ref_piece(piece, x: float) -> tuple[float, float]:
+    kind, amp, rate, origin = piece
+    f, g, sign, _ = _REF_KINDS[kind]
+    t = (x - origin) * rate
+    return amp * f(t), (sign * amp) * rate * g(t)
+
+
+def _ref_mass(piece, a: float, b: float) -> float:
+    kind, amp, rate, origin = piece
+    wave = _REF_KINDS[kind][3]
+    if wave is None:
+        return amp**2 / (2.0 * abs(rate))
+    s, h = wave
+    return amp * amp * (
+        s * 0.5 * (b - a)
+        + (h(2.0 * rate * (b - origin)) - h(2.0 * rate * (a - origin))) / (4.0 * rate)
+    )
+
+
+def _ref_rescale(theta: float, radius: float, ratio: float) -> tuple[float, float]:
+    s, c = math.sin(theta), math.cos(theta)
+    return theta - math.atan2(s, c) + math.atan2(s, c * ratio), radius * math.hypot(s, c * ratio)
+
+
+def ref_boundary_pairs(model):
+    """(x, (value, slope) left of x, same right of x) at the four edges."""
+    edges, pieces = _ref_pieces(model)
+    return [
+        (x, _ref_piece(left, x), _ref_piece(right, x))
+        for x, left, right in zip(edges, pieces, pieces[1:])
+    ]
+
+
+def ref_probabilities(model) -> tuple[float, float]:
+    """Masses left and right of ``barrier_node``, region by region."""
+    edges, pieces = _ref_pieces(model)
+    node = model.barrier_node
+    left = right = 0.0
+    for a, b, piece in zip((-math.inf, *edges), (*edges, math.inf), pieces):
+        if a < node:
+            left += _ref_mass(piece, a, min(b, node))
+        if b > node:
+            right += _ref_mass(piece, max(a, node), b)
+    return left, right
+
+
+def ref_shoot(spec, energy: float) -> tuple[float, float]:
+    """``(phase, residual)`` of one float64 shot, rescaled region by region;
+    raises ``ValueError`` where the phase leaves the float64 range and
+    returns a non-finite residual where the amplitude does."""
+    from doublewell.params import wavenumbers
+
+    kappa_m4, k_m2, kappa_0, k_2, kappa_4 = wavenumbers(spec, energy)
+    ratio = kappa_m4 / k_m2
+    theta = math.atan2(1.0, ratio) + k_m2 * spec.w_m2
+    theta, radius = _ref_rescale(theta, math.hypot(1.0, ratio), k_m2 / kappa_0)
+    u, v = math.sin(theta), math.cos(theta)
+    grow = 0.5 * (u + v)
+    decay = 0.5 * (u - v) * math.exp(-2.0 * kappa_0 * spec.w_0)
+    u, v = grow + decay, grow - decay
+    theta += math.remainder(math.atan2(u, v) - theta, 2.0 * math.pi)
+    theta, radius = _ref_rescale(theta, radius * math.hypot(u, v), kappa_0 / k_2)
+    theta, radius = _ref_rescale(theta + k_2 * spec.w_2, radius, k_2 / kappa_4)
+    u, v = radius * math.sin(theta), radius * math.cos(theta)
+    return theta, kappa_4 * (v + u)
