@@ -27,9 +27,9 @@ from __future__ import annotations
 import math
 
 from .errors import AssumptionViolated, DomainError, NotSymmetric, PerturbationTooLarge
-from .isolated import IsolatedWellSolution, coupling, solve_wells
-from .params import ReducedParams, WellSpec, record, reduce
-from .tunneling import _GROUND, _check_trust, _probability_split, solve_r0
+from .isolated import IsolatedWellSolution
+from .params import ReducedParams, WellSpec, record
+from .tunneling import _GROUND, _check_trust, _probability_split, _wells, solve_r0
 
 
 @record
@@ -93,13 +93,16 @@ class DeltaLedger:
 def symmetric_base(spec: WellSpec) -> SymmetricBase:
     """Solve the symmetric configuration and package its response inputs.
 
-    Raises :class:`NotSymmetric` when the derived well coefficients
-    a_left, a_right differ by more than 1e-9 relative, and
+    The reduced params, wells and coupling come from the pass
+    :func:`doublewell.tunneling.solve_double_well` shares: called right
+    after it on the same spec object, this call reuses its records (which
+    must not be changed), so ``wells`` may be the result's ``left`` and
+    ``right`` objects.  Raises :class:`NotSymmetric` when the derived well
+    coefficients a_left, a_right differ by more than 1e-9 relative, and
     :class:`AssumptionViolated` when a phase correction sqrt(p)/b exceeds
     the 0.1 trust threshold or the half-splitting underflows to 0.
     """
-    reduced_params = reduce(spec)
-    left, right = solve_wells(reduced_params)
+    _, reduced_params, left, right, coup = _wells(spec)
     a_scale = max(abs(left.a_coef), abs(right.a_coef))
     if abs(right.a_coef - left.a_coef) > 1e-9 * a_scale:
         raise NotSymmetric(
@@ -115,7 +118,7 @@ def symmetric_base(spec: WellSpec) -> SymmetricBase:
     )
     f_coef = (sum_right - sum_left) / (2.0 * math.pi)
     g_coef = 1.0 - (sum_right + sum_left) / (2.0 * math.pi)
-    r0, p_small = solve_r0(_GROUND, left.a_coef, right.a_coef, coupling(left, right).p_cap)
+    r0, p_small = solve_r0(_GROUND, left.a_coef, right.a_coef, coup.p_cap)
     root_p = math.sqrt(p_small)
     a_sym = 0.5 * (left.a_coef + right.a_coef)
     delta_e = (2.0 * a_sym * reduced_params.k_0 / math.pi**2) * root_p
@@ -233,15 +236,15 @@ def two_level_check(base: SymmetricBase, delta_v: float) -> tuple[float, float]:
     p_left, p_right = _probability_split(levels.z_asym)
     cos_half = math.sqrt(p_left)
     sin_half = math.sqrt(p_right)
-    residuals = []
-    for e_value, vec in (
-        (levels.e0, (cos_half, sin_half)),
-        (levels.e1, (-sin_half, cos_half)),
-    ):
-        h_vec = (
-            levels.e_left * vec[0] - base.delta_e * vec[1],
-            -base.delta_e * vec[0] + levels.e_right * vec[1],
-        )
-        residual = math.hypot(h_vec[0] - e_value * vec[0], h_vec[1] - e_value * vec[1])
-        residuals.append(residual / abs(e_value))
-    return residuals[0], residuals[1]
+    e_left, e_right, delta_e = levels.e_left, levels.e_right, base.delta_e
+    e0, e1 = levels.e0, levels.e1
+    # Each component is (H psi)_i - E psi_i, summed left to right.
+    ground = math.hypot(
+        e_left * cos_half - delta_e * sin_half - e0 * cos_half,
+        -delta_e * cos_half + e_right * sin_half - e0 * sin_half,
+    )
+    excited = math.hypot(
+        e_left * -sin_half - delta_e * cos_half - e1 * -sin_half,
+        -delta_e * -sin_half + e_right * cos_half - e1 * cos_half,
+    )
+    return ground / abs(e0), excited / abs(e1)

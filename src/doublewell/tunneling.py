@@ -249,14 +249,37 @@ def coefficient_ratio(
     return prefactor * (4.0 * p / big if (d_a >= 0.0) == ground else big / (4.0 * p))
 
 
+# (spec, reduced, left, right, coupling) of the last completed pass; no spec
+# is the placeholder, so the first call misses.
+_last: tuple = (object(),)
+
+
+def _wells(spec: WellSpec) -> tuple:
+    """``(spec, reduced, left, right, coupling)`` of ``spec``: reduce, solve
+    the wells and couple them, unless ``spec`` is the very object the last
+    completed pass ran on.  The key is identity (a ``WellSpec`` is frozen),
+    not equality, and the slot is one tuple rebound in one store, so a
+    thread reads either the old entry or the new one.  A pass that raises
+    leaves the slot as it was."""
+    global _last
+    wells = _last
+    if wells[0] is not spec:
+        reduced_params = reduce(spec)
+        left, right = solve_wells(reduced_params)
+        wells = _last = (spec, reduced_params, left, right, coupling(left, right))
+    return wells
+
+
 def solve_double_well(spec: WellSpec) -> DoubleWellResult:
     """Full approximation pipeline: reduce, solve wells, couple, split.
 
-    Raises :class:`AssumptionViolated` when the coupling P underflows to 0,
-    which would leave the two levels silently degenerate."""
-    reduced_params = reduce(spec)
-    left, right = solve_wells(reduced_params)
-    coup = coupling(left, right)
+    The reduced params, wells and coupling come from the pass
+    :func:`doublewell.perturb.symmetric_base` shares: called right after it
+    on the same spec object, this call reuses its records (which must not
+    be changed) instead of solving the wells again.  Raises
+    :class:`AssumptionViolated` when the coupling P underflows to 0, which
+    would leave the two levels silently degenerate."""
+    _, reduced_params, left, right, coup = _wells(spec)
     if coup.p_cap == 0.0:
         raise AssumptionViolated(
             f"the coupling P = b_left b_right c_left c_right underflowed to 0 "

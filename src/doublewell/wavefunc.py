@@ -220,6 +220,10 @@ def _cpus() -> int:
 # Points per chunk of a split fill: a chunk's input is 512 KB, so the four
 # passes that fill one region's share of it stay in a core's L2 cache.
 _CHUNK = 2**16
+# A grid is split from _SPLIT points on, into threads of _SHARE points or
+# more each: a smaller share saves less than its thread costs.
+_SPLIT = 2**19
+_SHARE = 2**18
 
 
 def _field(model: WavefunctionModel, x, slope: bool, split: bool = True):
@@ -231,14 +235,14 @@ def _field(model: WavefunctionModel, x, slope: bool, split: bool = True):
     is first sorted by position, filled in that sorted copy and scattered
     back; NaN sorts past every edge into the last region.
 
-    When ``split``, a grid of 2^19 points or more is filled by up to one
-    thread per CPU the process may use, each with at least 2^18 points of
-    the grid: this thread and helpers started for the call claim chunks of
-    ``_CHUNK`` points in turn from one shared iterator.  Each chunk first
-    checks that it is non-decreasing from the point before it, so every
-    adjacent pair is checked once, and there is no whole-grid check.  Each
-    thread runs under this thread's numpy error state (a new thread would
-    start from numpy's defaults).  The helpers are started without waiting
+    When ``split``, a grid of ``_SPLIT`` (2^19) points or more is filled by
+    up to one thread per CPU the process may use, each with at least
+    ``_SHARE`` (2^18) points of the grid: this thread and helpers started
+    for the call claim chunks of ``_CHUNK`` points in turn from one shared
+    iterator.  Each chunk first checks that it is non-decreasing from the
+    point before it, so every adjacent pair is checked once, and there is
+    no whole-grid check.  Each thread runs under this thread's numpy error
+    state (a new thread would start from numpy's defaults).  The helpers are started without waiting
     for them to be scheduled; this thread works on the queue at once, and
     once it finds the queue empty waits for each helper to signal its end,
     so none outlives the call.  A helper that cannot be started leaves its
@@ -253,9 +257,8 @@ def _field(model: WavefunctionModel, x, slope: bool, split: bool = True):
     points = xs.ravel()
     n = len(points)
     edges, pieces = _pieces(model)
-    # Threads of 2^18 points or more, up to one per CPU the process may use:
-    # a smaller share saves less than its thread costs.
-    threads = min(_cpus(), n // 2**18) if split and n >= 2**19 else 1
+    # Threads of _SHARE points or more, up to one per CPU the process may use.
+    threads = min(_cpus(), n // _SHARE) if split and n >= _SPLIT else 1
     order = None
     if threads > 1 or (points[1:] >= points[:-1]).all():
         # A lone NaN passes the check, lands in the last region and stays NaN.

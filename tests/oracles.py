@@ -6,11 +6,12 @@ fixed-point evaluation, arbitrary-precision propagation instead of
 float64, closed forms instead of pipelines), so agreement between the
 two is meaningful evidence of correctness rather than a tautology.
 
-The one exception is the table-driven kernels at the end
+The exceptions are the table-driven kernels at the end
 (:func:`ref_shoot`, :func:`ref_boundary_pairs`, :func:`ref_probabilities`):
 a per-region table dispatch that does the library's floating-point
 operations in the same order, so that the library's straight-line kernels
-can be held to its bits.
+can be held to its bits, and :func:`ref_two_level_check`, the loop over
+the two eigenvectors that ``perturb.two_level_check`` writes out.
 """
 
 from __future__ import annotations
@@ -265,3 +266,27 @@ def ref_shoot(spec, energy: float) -> tuple[float, float]:
     theta, radius = _ref_rescale(theta + k_2 * spec.w_2, radius, k_2 / kappa_4)
     u, v = radius * math.sin(theta), radius * math.cos(theta)
     return theta, kappa_4 * (v + u)
+
+
+def ref_two_level_check(base, delta_v: float) -> tuple[float, float]:
+    """Residuals of the closed-form levels in the two-state matrix, one
+    eigenvector per loop pass."""
+    from doublewell.perturb import perturbed_levels
+    from doublewell.tunneling import _probability_split
+
+    levels = perturbed_levels(base, delta_v)
+    p_left, p_right = _probability_split(levels.z_asym)
+    cos_half = math.sqrt(p_left)
+    sin_half = math.sqrt(p_right)
+    residuals = []
+    for e_value, vec in (
+        (levels.e0, (cos_half, sin_half)),
+        (levels.e1, (-sin_half, cos_half)),
+    ):
+        h_vec = (
+            levels.e_left * vec[0] - base.delta_e * vec[1],
+            -base.delta_e * vec[0] + levels.e_right * vec[1],
+        )
+        residual = math.hypot(h_vec[0] - e_value * vec[0], h_vec[1] - e_value * vec[1])
+        residuals.append(residual / abs(e_value))
+    return residuals[0], residuals[1]

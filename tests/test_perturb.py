@@ -1,7 +1,12 @@
 """Antisymmetric floor shift: response coefficients, levels, and ledger."""
 
 import math
+import pickle
 import random
+import struct
+import sys
+import threading
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -24,10 +29,12 @@ from doublewell import (
     symmetric_base,
     two_level_check,
 )
+from doublewell import isolated, params, tunneling
+from doublewell.cli import main
 from genspecs import (
     EXAMPLE_SPEC, asymmetric_spec, dyadic_images, mixed_spec_batch, random_symmetric_spec,
 )
-from oracles import example_constants
+from oracles import example_constants, ref_two_level_check
 
 
 def _has_symmetric_base(spec):
@@ -226,6 +233,204 @@ class TestTwoLevelCheck:
             for v in (-3.0, 0.0, 7.5):
                 res0, res1 = two_level_check(base, v * base.delta_e)
                 assert max(res0, res1) < 1e-12
+
+    @pytest.mark.parametrize("spec", SYMMETRIC)
+    def test_gives_the_loop_form_bits(self, spec):
+        # Shifts in units of delta_e, and just under the 0.01 min(W) limit;
+        # a shift past the limit must be refused with the loop form's message.
+        base = symmetric_base(spec)
+        limit = math.nextafter(0.01 * base.min_depth, 0.0)
+        shifts = [v * base.delta_e for v in (0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 1e3, -1e3, 1e-9)]
+        computed = 0
+        for delta_v in [*shifts, limit, -limit]:
+            try:
+                expected = ref_two_level_check(base, delta_v)
+            except PerturbationTooLarge as exc:
+                with pytest.raises(PerturbationTooLarge) as got:
+                    two_level_check(base, delta_v)
+                assert str(got.value) == str(exc)
+                continue
+            got = two_level_check(base, delta_v)
+            assert struct.pack("<2d", *got) == struct.pack("<2d", *expected), delta_v
+            computed += 1
+        assert computed >= 3
+
+    @pytest.mark.parametrize("factor", [1.0, -2.0, math.nan])
+    def test_too_large_shift_keeps_its_message(self, example_base, factor):
+        delta_v = factor * 0.01 * example_base.min_depth
+        with pytest.raises(PerturbationTooLarge) as expected:
+            ref_two_level_check(example_base, delta_v)
+        with pytest.raises(PerturbationTooLarge) as got:
+            two_level_check(example_base, delta_v)
+        assert str(got.value) == str(expected.value)
+        assert "first-order response requires |delta_v| < 0.01 * min(W)" in str(got.value)
+
+
+@pytest.fixture
+def pass_counts(monkeypatch):
+    """Calls of reduce and solve_wells through every module binding of them."""
+    counts = Counter()
+    for real in (params.reduce, isolated.solve_wells):
+
+        def counted(*args, real=real):
+            counts[real.__name__] += 1
+            return real(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("doublewell."):
+                for name, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+# reduce refuses it (beta underflows to 0); solve_wells refuses the other
+# (neither well binds a level).
+REDUCE_REFUSES = WellSpec(
+    hbar=1.0, mass=1.0, v_m4=1e25, v_m2=0.0, v_0=1e25, v_2=0.0, v_4=1e25,
+    w_m2=1.0, w_0=1e150, w_2=1.0,
+)
+WELLS_REFUSE = replace(EXAMPLE_SPEC, v_m4=0.001, v_4=0.001, w_m2=1.0, w_0=10.0, w_2=1.0)
+
+
+class TestSharedPass:
+    """solve_double_well and symmetric_base share one isolated-wells pass
+    for the last spec object: whichever runs second on it skips the pass."""
+
+    @pytest.mark.parametrize("first", [solve_double_well, symmetric_base])
+    def test_second_call_on_the_same_spec_skips_the_pass(self, pass_counts, first):
+        fresh_result = repr(solve_double_well(EXAMPLE_SPEC))
+        fresh_base = repr(symmetric_base(replace(EXAMPLE_SPEC)))
+        tunneling._last = (object(),)
+        pass_counts.clear()
+        if first is solve_double_well:
+            result = solve_double_well(EXAMPLE_SPEC)
+            base = symmetric_base(EXAMPLE_SPEC)
+        else:
+            base = symmetric_base(EXAMPLE_SPEC)
+            result = solve_double_well(EXAMPLE_SPEC)
+        assert pass_counts == {"reduce": 1, "solve_wells": 1}
+        assert (repr(result), repr(base)) == (fresh_result, fresh_base)
+        assert base.wells[0] is result.left and base.wells[1] is result.right
+
+    def test_equal_but_distinct_spec_runs_the_pass_again(self, pass_counts):
+        # The key is the spec object: the twin misses, then hits, and the
+        # example misses again after it.
+        twin = replace(EXAMPLE_SPEC)
+        assert twin == EXAMPLE_SPEC and twin is not EXAMPLE_SPEC
+        solve_double_well(EXAMPLE_SPEC)
+        symmetric_base(twin)
+        solve_double_well(twin)
+        symmetric_base(EXAMPLE_SPEC)
+        assert pass_counts == {"reduce": 3, "solve_wells": 3}
+
+    @pytest.mark.parametrize(
+        "refused, error",
+        [(REDUCE_REFUSES, AssumptionViolated), (WELLS_REFUSE, DomainError)],
+        ids=["reduce", "solve_wells"],
+    )
+    def test_refused_spec_leaves_the_slot_on_the_previous_spec(self, pass_counts, refused, error):
+        solve_double_well(EXAMPLE_SPEC)
+        for solver in (solve_double_well, symmetric_base):
+            with pytest.raises(error):
+                solver(refused)
+        symmetric_base(EXAMPLE_SPEC)
+        assert pass_counts["reduce"] == 3
+        assert pass_counts["solve_wells"] == 1 + 2 * (error is DomainError)
+        assert tunneling._last[0] is EXAMPLE_SPEC
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["perturb", "SPEC", "--v", "1"], ["paper-example"], ["oracle", "SPEC"]],
+        ids=["perturb", "paper-example", "oracle"],
+    )
+    def test_cli_call_reduces_once(self, pass_counts, capsys, tmp_path, argv):
+        path = tmp_path / "example.spec"
+        path.write_text("".join(
+            f"{name} = {getattr(EXAMPLE_SPEC, name)!r}\n"
+            for name in ("hbar", "mass", "v_m4", "v_m2", "v_0", "v_2", "v_4", "w_m2", "w_0", "w_2")
+        ))
+        argv = [str(path) if arg == "SPEC" else arg for arg in argv]
+        for calls in (1, 2):
+            tunneling._last = (object(),)
+            assert main(argv) == 0
+            assert pass_counts["reduce"] == calls
+        capsys.readouterr()
+
+    def test_pass_held_while_another_thread_passes_keeps_whole_entries(self, monkeypatch):
+        # A worker's pass on one spec is held inside coupling while this
+        # thread runs a whole pass on the other.  Each gets its own bits,
+        # and whichever entry the slot is left with is whole.
+        one, other = EXAMPLE_SPEC, next(p.values[0] for p in SYMMETRIC if p.id != "example")
+        fresh = {}
+        for spec in (one, other):
+            tunneling._last = (object(),)
+            fresh[id(spec)] = pickle.dumps(solve_double_well(spec))
+        entered, release = threading.Event(), threading.Event()
+        real = tunneling.coupling
+        main_thread = threading.current_thread()
+
+        def held(left, right):
+            if threading.current_thread() is not main_thread:
+                entered.set()
+                release.wait(60.0)
+            return real(left, right)
+
+        monkeypatch.setattr(tunneling, "coupling", held)
+        found = []
+        worker = threading.Thread(target=lambda: found.append(solve_double_well(one)))
+        worker.start()
+        try:
+            assert entered.wait(60.0)
+            assert pickle.dumps(solve_double_well(other)) == fresh[id(other)]
+        finally:
+            release.set()
+            worker.join(60.0)
+        assert not worker.is_alive()
+        assert [pickle.dumps(r) for r in found] == [fresh[id(one)]]
+        for spec in (other, one, other):
+            assert pickle.dumps(solve_double_well(spec)) == fresh[id(spec)]
+
+    def test_threads_alternating_two_specs_get_fresh_bits(self):
+        # Four threads, more than most test machines have cores, each
+        # alternating the two specs 1,000 times in both call orders.
+        # Records pickle every float as its 8 bytes.
+        specs = [EXAMPLE_SPEC, next(p.values[0] for p in SYMMETRIC if p.id != "example")]
+        expected = []
+        for spec in specs:
+            tunneling._last = (object(),)
+            result = pickle.dumps(solve_double_well(spec))
+            tunneling._last = (object(),)
+            expected.append((result, pickle.dumps(symmetric_base(spec))))
+        found = [[] for _ in range(4)]
+
+        def work(offset):
+            for i in range(1000):
+                k = (i + offset) % 2
+                spec = specs[k]
+                if i % 4 < 2:
+                    result = solve_double_well(spec)
+                    base = symmetric_base(spec)
+                else:
+                    base = symmetric_base(spec)
+                    result = solve_double_well(spec)
+                found[offset].append((k, result, base))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for calls in found:
+            assert len(calls) == 1000
+            for k, result, base in calls:
+                assert (pickle.dumps(result), pickle.dumps(base)) == expected[k]
 
 
 def _finite_difference_shifts(spec, h):

@@ -127,15 +127,31 @@ def _bits(values):
 # grid split holds 2^19.  The sizes about it: one point short, it, one past.
 PART = 2**18
 SPLIT_SIZES = [2 * PART - 1, 2 * PART, 2 * PART + 1]
-CHUNK = wavefunc._CHUNK
+
+# Most split cases run with the three split thresholds patched down by SCALE,
+# on grids of a few thousand points; one case per path keeps the real ones.
+SCALE = 2**8
+_THRESHOLDS = {name: getattr(wavefunc, name) for name in ("_SPLIT", "_SHARE", "_CHUNK")}
+
+
+def _small_split(monkeypatch, n=0):
+    """Patches the split thresholds down by SCALE and returns the grid size
+    that sits against them as ``n`` sits against the real ones: k shares
+    of 2^18 points, give or take one, become k shares of 2^10."""
+    for name, value in _THRESHOLDS.items():
+        monkeypatch.setattr(wavefunc, name, value // SCALE)
+    shares = round(n / PART)
+    return shares * (PART // SCALE) + n - shares * PART
 
 # How a split fill starts each helper thread: _thread.start_new_thread.
 _START = _thread.start_new_thread
 
 
 def _threads_per_call(n, cpus):
-    """Helper threads one field call starts on a grid of n points with ``cpus``."""
-    return min(cpus, n // PART) - 1 if n >= 2 * PART else 0
+    """Helper threads one field call starts on a grid of n points with
+    ``cpus``, at the split thresholds in force."""
+    share = wavefunc._SHARE
+    return min(cpus, n // share) - 1 if n >= 2 * share else 0
 
 
 def _one_cpu_then_split(monkeypatch, compute, cpus=2, start=_START):
@@ -359,7 +375,7 @@ class TestGridPaths:
     def test_caller_array_is_left_unchanged_and_may_be_read_only(self, monkeypatch):
         states = _states()
         edges = states[0][1]
-        for n in [101, *SPLIT_SIZES]:
+        for n in [101, *(_small_split(monkeypatch, n) for n in SPLIT_SIZES)]:
             grid = np.linspace(edges[0] - 2.0, edges[-1] + 2.0, n)
             grids = (grid, grid[::-1].copy())
             before = [_bits(xs) for xs in grids]
@@ -380,7 +396,7 @@ class TestGridPaths:
     def test_two_dimensional_input_keeps_its_shape(self, monkeypatch):
         states = _states()
         edges = states[0][1]
-        for n in [60, *SPLIT_SIZES]:
+        for n in [60, *(_small_split(monkeypatch, n) for n in SPLIT_SIZES)]:
             rows = next(d for d in (6, 3, 2, 1) if n % d == 0)
             # Row-major keeps the grid sorted; the transpose does not (unless
             # one row is all there is).
@@ -410,14 +426,15 @@ def _large_grid(kind, n, edges):
     of order.  That pair straddles the boundary of the grid's fifth chunk
     (its last point moved to the right tail), or ends the grid (the last
     point moved to the left tail), so an unnoticed disorder would fill
-    either point with the wrong region's piece."""
+    either point with the wrong region's piece.  The chunk is the one in
+    force."""
     grid = np.linspace(edges[0] - 2.0, edges[-1] + 2.0, n)
     if kind == "permuted":
         return grid[np.random.default_rng(n).permutation(n)]
     if kind == "nan":
         grid[[0, n // 2, n - 1]] = math.nan
     if kind == "straddle":
-        grid[4 * CHUNK - 1] = grid[-1]
+        grid[4 * wavefunc._CHUNK - 1] = grid[-1]
     if kind == "late":
         grid[-1] = grid[0]
     return grid
@@ -429,7 +446,8 @@ class TestSplitGrids:
     one queue of chunks that each check their own order.  Each point gets
     the bits of the one-CPU fill whichever thread fills which chunk, a
     disorder anywhere sorts the grid, and a chunk fails as the one-CPU fill
-    does, in the calling thread."""
+    does, in the calling thread.  Most cases run with the thresholds
+    patched down (``_small_split``); the ids keep the real sizes."""
 
     @pytest.mark.parametrize("n", SPLIT_SIZES)
     @pytest.mark.parametrize("kind", ["sorted", "permuted", "nan", "straddle", "late"])
@@ -437,6 +455,9 @@ class TestSplitGrids:
         # Helpers started as usual, run to their end before the calling
         # thread works, held back until it has emptied the queue, or not
         # started at all: the call returns only after every helper has run.
+        # Each kind but "late" also runs at full size, on the least grid split.
+        if n != 2 * PART or kind == "late":
+            n = _small_split(monkeypatch, n)
         states = _states()
         xs = _large_grid(kind, n, states[0][1])
 
@@ -454,6 +475,8 @@ class TestSplitGrids:
 
     @pytest.mark.parametrize("n, cpus", [(n, 2) for n in SPLIT_SIZES] + [(3 * PART, 8)])
     def test_split_sample_gives_the_one_cpu_bits(self, monkeypatch, n, cpus):
+        if (n, cpus) != (2 * PART, 2):  # the one case at full size
+            n = _small_split(monkeypatch, n)
         states = _states()
         edges = states[0][1]
 
@@ -480,9 +503,11 @@ class TestSplitGrids:
         # chunks holds the outer and left-well regions only, the second half
         # the barrier.  Started first, the helper fills every chunk, so only
         # a helper meets the overflow.
+        if (field, mode) != (evaluate, "call"):  # the one case at full size
+            _small_split(monkeypatch)
         ground, edges = _states()[0]
         state = replace(ground, amp_0=sys.float_info.max / 4.0)
-        n = 2 * PART
+        n = 2 * wavefunc._SHARE
         xs = np.concatenate((
             np.linspace(edges[0] - 2.0, edges[1], n // 2, endpoint=False),
             np.linspace(edges[1], edges[2], n // 2, endpoint=False),
@@ -508,7 +533,7 @@ class TestSplitGrids:
         monkeypatch.setattr(wavefunc, "_cpus", lambda: 1)
         monkeypatch.setattr(_thread, "start_new_thread", _no_start)
         state, edges = _states()[0]
-        xs = np.linspace(edges[0] - 2.0, edges[-1] + 2.0, 4 * PART)
+        xs = np.linspace(edges[0] - 2.0, edges[-1] + 2.0, _small_split(monkeypatch, 4 * PART))
         for field in (evaluate, derivative):
             assert field(state, xs).shape == xs.shape
         assert sample(state, xs[0], xs[-1], len(xs)).shape == (len(xs), 3)
