@@ -217,104 +217,102 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-# Points per chunk of a split fill: a chunk's input is 512 KB, so the four
+# Points per chunk of the fill: a chunk's input is 512 KB, so the four
 # passes that fill one region's share of it stay in a core's L2 cache.
 _CHUNK = 2**16
-# A grid is split from _SPLIT points on, into threads of _SHARE points or
-# more each: a smaller share saves less than its thread costs.
-_SPLIT = 2**19
+# Helper threads join from two shares of _SHARE points on, at most one per
+# share: a smaller share saves less than its thread costs.
 _SHARE = 2**18
 
 
-def _field(model: WavefunctionModel, x, slope: bool, split: bool = True):
+def _field(model: WavefunctionModel, x, slope: bool):
     """psi, or dpsi/dx when ``slope``, of a doublet level at a scalar or an
-    array of positions of any shape, which is only read; NaN gives NaN.
-    Each region is one slice, written in place, and a boundary belongs to
-    the region on its right: every grid is cut by one searchsorted of the
-    edges.  A grid that is not non-decreasing (NaN fails the order check)
-    is first sorted by position, filled in that sorted copy and scattered
-    back; NaN sorts past every edge into the last region.
+    array of positions of any shape, which is only read.
 
-    When ``split``, a grid of ``_SPLIT`` (2^19) points or more is filled by
-    up to one thread per CPU the process may use, each with at least
-    ``_SHARE`` (2^18) points of the grid: this thread and helpers started
-    for the call claim chunks of ``_CHUNK`` points in turn from one shared
-    iterator.  Each chunk first checks that it is non-decreasing from the
-    point before it, so every adjacent pair is checked once, and there is
-    no whole-grid check.  Each thread runs under this thread's numpy error
-    state (a new thread would start from numpy's defaults).  The helpers are started without waiting
-    for them to be scheduled; this thread works on the queue at once, and
-    once it finds the queue empty waits for each helper to signal its end,
-    so none outlives the call.  A helper that cannot be started leaves its
-    chunks to the others.  Every value is elementwise, so the bits do not
-    depend on which thread fills which chunk.  When a chunk is out of
-    order or fails, the grid is filled again in one unsplit pass, which
-    sorts it or raises the error here: a grid whose first disorder lies
-    late is filled about twice before its sort."""
+    Each region is one slice of the grid, written in place, and a boundary
+    belongs to the region on its right: the grid is cut by one searchsorted
+    of the edges, as if it were non-decreasing.  Chunks of ``_CHUNK``
+    (2^16) points are then claimed in turn from one shared iterator.  Each
+    chunk first checks that it is non-decreasing from the point before it,
+    so every adjacent pair is checked once, then fills its share of each
+    region's slice.
+
+    The calling thread always works the queue, under its own numpy error
+    state.  Only a grid of two shares of ``_SHARE`` (2^18) points or more,
+    in a process that may use 2 or more CPUs, gets helper threads: with the
+    caller, one thread per CPU, and at most one per share.  They are
+    started for the call without waiting for them to be scheduled, each
+    runs under the caller's numpy error state (a new thread would start
+    from numpy's defaults), and the caller, once it finds the queue empty,
+    waits for each to signal its end, so none outlives the call.  A helper
+    that cannot be started leaves its chunks to the others.
+
+    If any chunk is out of order (NaN fails the check) or raises, the grid
+    is argsorted once the helpers have ended, and the sorted copy is filled
+    in one pass in the calling thread, which raises any error there, then
+    scattered back.  NaN sorts past every edge into the last region and
+    stays NaN.  A grid whose first disorder lies late is filled about twice.
+    Every value is elementwise, so the bits depend neither on the CPU count
+    nor on which thread fills which chunk."""
     import numpy as np
 
     xs = np.asarray(x, dtype=float)
     points = xs.ravel()
     n = len(points)
     edges, pieces = _pieces(model)
-    # Threads of _SHARE points or more, up to one per CPU the process may use.
-    threads = min(_cpus(), n // _SHARE) if split and n >= _SPLIT else 1
-    order = None
-    if threads > 1 or (points[1:] >= points[:-1]).all():
-        # A lone NaN passes the check, lands in the last region and stays NaN.
-        out = np.empty_like(points)
-    else:
-        # Equal positions give equal values, so the sort need not be stable.
-        order = np.argsort(points)
-        points = out = points[order]
-    cuts = np.searchsorted(points, edges, side="left").tolist()
+    cuts = np.searchsorted(points, edges).tolist()
+    out = np.empty_like(points)
+    chunks = iter(range(0, n, _CHUNK))
+    failed = []
 
-    def fill(start: int, stop: int) -> None:
+    def fill(points, out, cuts, start: int, stop: int) -> None:
         for piece, lo, hi in zip(pieces, (0, *cuts), (*cuts, n)):
             lo, hi = max(lo, start), min(hi, stop)
             if lo < hi:
                 _fill(piece, points[lo:hi], out[lo:hi], slope)
 
-    if threads < 2:
-        fill(0, n)
-    else:
+    def work() -> None:
+        try:
+            for start in chunks:
+                chunk = points[max(start - 1, 0) : start + _CHUNK]
+                if failed or not (chunk[1:] >= chunk[:-1]).all():
+                    failed.append(True)
+                    break
+                fill(points, out, cuts, start, start + _CHUNK)
+        except Exception:
+            failed.append(True)
+
+    helpers = min(_cpus(), n // _SHARE) - 1 if n >= 2 * _SHARE else 0
+    if helpers:
         import _thread
         import threading
 
-        chunks = iter(range(0, n, _CHUNK))
-        failed = []
         done = threading.Semaphore(0)
 
-        # The defaults are read here, so every thread that runs work gets
-        # this thread's numpy error state.
-        def work(call=np.geterrcall(), err=np.geterr()) -> None:
+        # The defaults are read here, in the calling thread, so each helper
+        # runs under its numpy error state.
+        def helper(call=np.geterrcall(), err=np.geterr()) -> None:
             try:
                 with np.errstate(call=call, divide=err["divide"], over=err["over"],
                                  under=err["under"], invalid=err["invalid"]):
-                    for start in chunks:
-                        chunk = points[max(start - 1, 0) : start + _CHUNK]
-                        if failed or not (chunk[1:] >= chunk[:-1]).all():
-                            failed.append(True)
-                            break
-                        fill(start, start + _CHUNK)
-            except Exception:
-                failed.append(True)
+                    work()
             finally:
                 done.release()
 
-        for _ in range(1, threads):
+        for _ in range(helpers):
             try:
-                _thread.start_new_thread(work, ())
+                _thread.start_new_thread(helper, ())
             except RuntimeError:  # no thread to spare: the others fill its chunks
                 done.release()
-        work()
-        for _ in range(threads):
-            done.acquire()
-        if failed:
-            return _field(model, x, slope, False)
-    if order is not None:
-        out = np.empty_like(points)
-        out[order] = points
+    work()
+    for _ in range(helpers):
+        done.acquire()
+    if failed:
+        # Equal positions give equal values, so the sort need not be stable.
+        order = np.argsort(points)
+        grid = points[order]
+        fill(grid, grid, np.searchsorted(grid, edges).tolist(), 0, n)
+        out[order] = grid
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
@@ -410,30 +408,22 @@ def assemble_at_energy(
 
 
 def evaluate(model: WavefunctionModel, x):
-    """psi(x) of a doublet level; accepts a scalar or an array of any shape.
+    """psi(x) of a doublet level; accepts a scalar or an array of any
+    shape, which is only read.
 
-    Each region is evaluated as one slice, in place in the result: every
-    grid is cut into slices by one searchsorted of the edges, after any
-    grid that is not non-decreasing is sorted by position.  Region dispatch
-    is half-open with each boundary belonging to the region on its right;
-    continuity makes the choice observationally irrelevant.
-
-    A grid of 2^19 points or more is filled by the calling thread and up to
-    one helper thread per further CPU the process may use (at least 2^18
-    points per thread), which claim chunks of 2^16 points in turn from one
-    shared queue; each chunk checks its own order on the way, in place of
-    a whole-grid check first.  The helpers are started within the call and
-    have ended when it returns.  The values are bit for bit those of a
-    one-CPU fill, every chunk runs under the caller's numpy error state,
-    and an error in any chunk is raised from the caller's thread.
+    Each boundary belongs to the region on its right; continuity makes the
+    choice observationally irrelevant.  A grid of 2^19 points or more may
+    be filled by helper threads that end within the call, but the bits do
+    not depend on the CPU count, every chunk runs under the caller's numpy
+    error state, errors are raised in the caller's thread, and NaN gives
+    NaN.
     """
     return _field(model, x, False)
 
 
 def derivative(model: WavefunctionModel, x):
-    """d psi / dx at x; accepts a scalar or an array, and fills a grid of
-    2^19 points or more from one queue of chunks on up to one thread per
-    CPU, as :func:`evaluate` does."""
+    """d psi / dx at x; accepts a scalar or an array, with the guarantees
+    of :func:`evaluate`."""
     return _field(model, x, True)
 
 
@@ -490,9 +480,8 @@ def sample(
     """Uniform endpoint-inclusive table of (x, psi, dpsi), shape (n, 3).
 
     psi and dpsi are :func:`evaluate` and :func:`derivative` on the x
-    column, so 2^19 points or more are filled from one queue of chunks on
-    up to one thread per CPU, with the one-CPU bits.  Raises :class:`BadRange` for a malformed range or
-    point count, or one too large to allocate."""
+    column, with their guarantees.  Raises :class:`BadRange` for a
+    malformed range or point count, or one too large to allocate."""
     # An infinite or NaN end, or a width that overflows, leaves the width non-finite.
     if not (x_min < x_max and math.isfinite(x_max - x_min)):
         raise BadRange(f"need finite x_min < x_max and x_max - x_min, got {x_min!r}, {x_max!r}")

@@ -7,10 +7,10 @@ float64, closed forms instead of pipelines), so agreement between the
 two is meaningful evidence of correctness rather than a tautology.
 
 The exceptions are the table-driven kernels at the end
-(:func:`ref_shoot`, :func:`ref_boundary_pairs`, :func:`ref_probabilities`):
-a per-region table dispatch that does the library's floating-point
-operations in the same order, so that the library's straight-line kernels
-can be held to its bits, and :func:`ref_two_level_check`, the loop over
+(:func:`ref_shoot`, :func:`ref_boundary_pairs`, :func:`ref_probabilities`,
+:func:`ref_field`): a per-region table dispatch that does the library's
+floating-point operations in the same order, so that the library's
+straight-line kernels and chunked grid fill can be held to its bits, and :func:`ref_two_level_check`, the loop over
 the two eigenvectors that ``perturb.two_level_check`` writes out.
 """
 
@@ -245,6 +245,28 @@ def ref_probabilities(model) -> tuple[float, float]:
         if b > node:
             right += _ref_mass(piece, max(a, node), b)
     return left, right
+
+
+def ref_field(model, xs, slope: bool):
+    """psi, or dpsi/dx when ``slope``, at a float array of any shape: one
+    boolean mask per region, each filled with the library's operations in
+    its order.  A boundary belongs to the region on its right, and NaN and
+    +inf fall in the last region."""
+    import numpy as np
+
+    edges, pieces = _ref_pieces(model)
+    xs = np.asarray(xs, dtype=float)
+    out = np.empty_like(xs)
+    below = [xs < edge for edge in edges]
+    masks = [below[0], *(right & ~left for left, right in zip(below, below[1:])), ~below[-1]]
+    for mask, (kind, amp, rate, origin) in zip(masks, pieces):
+        f, g, sign, _ = _REF_KINDS[kind]
+        t = (xs[mask] - origin) * rate
+        if slope:
+            out[mask] = getattr(np, g.__name__)(t) * ((sign * amp) * rate)
+        else:
+            out[mask] = getattr(np, f.__name__)(t) * amp
+    return out
 
 
 def ref_shoot(spec, energy: float) -> tuple[float, float]:

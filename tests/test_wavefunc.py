@@ -36,6 +36,7 @@ from doublewell import (
 from doublewell import wavefunc
 from doublewell.wavefunc import _CSV_BLOCK_ROWS, _boundary_pairs
 from genspecs import EXAMPLE_SPEC, dyadic_images, mixed_spec_batch
+from oracles import ref_field
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -128,14 +129,14 @@ def _bits(values):
 PART = 2**18
 SPLIT_SIZES = [2 * PART - 1, 2 * PART, 2 * PART + 1]
 
-# Most split cases run with the three split thresholds patched down by SCALE,
+# Most split cases run with the share and the chunk patched down by SCALE,
 # on grids of a few thousand points; one case per path keeps the real ones.
 SCALE = 2**8
-_THRESHOLDS = {name: getattr(wavefunc, name) for name in ("_SPLIT", "_SHARE", "_CHUNK")}
+_THRESHOLDS = {name: getattr(wavefunc, name) for name in ("_SHARE", "_CHUNK")}
 
 
 def _small_split(monkeypatch, n=0):
-    """Patches the split thresholds down by SCALE and returns the grid size
+    """Patches the share and the chunk down by SCALE and returns the grid size
     that sits against them as ``n`` sits against the real ones: k shares
     of 2^18 points, give or take one, become k shares of 2^10."""
     for name, value in _THRESHOLDS.items():
@@ -203,6 +204,18 @@ def _start_failing(function, args):
 
 def _no_start(function, args):
     raise AssertionError("a helper thread was asked for")
+
+
+def _no_cpus():
+    raise AssertionError("the CPU count was asked for")
+
+
+def _reference_bits(states, grids):
+    """``ref_field``'s bits for each state, grid and field, in that order."""
+    return [
+        _bits(ref_field(state, xs, slope))
+        for state, _ in states for xs in grids for slope in (False, True)
+    ]
 
 
 def _potential(spec, x):
@@ -359,9 +372,9 @@ def _grids(draw, edges):
 
 
 class TestGridPaths:
-    """Every grid is cut into one slice per region; a grid that is not
-    non-decreasing is first sorted by position.  Either way each point
-    gets the same bits."""
+    """Every grid is cut into one slice per region; a grid found out of
+    order is sorted by position and filled again.  Either way each point
+    gets the bits of ``ref_field``, one boolean mask per region."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), index=st.integers(min_value=0, max_value=1))
@@ -371,6 +384,9 @@ class TestGridPaths:
         perm = np.array(data.draw(st.permutations(range(len(xs)))))
         for field in (evaluate, derivative):
             assert _bits(field(state, xs[perm])) == _bits(field(state, xs)[perm])
+        assert _bits([evaluate(state, xs), derivative(state, xs)]) == _bits(
+            [ref_field(state, xs, False), ref_field(state, xs, True)]
+        )
 
     def test_caller_array_is_left_unchanged_and_may_be_read_only(self, monkeypatch):
         states = _states()
@@ -390,6 +406,7 @@ class TestGridPaths:
 
             reference, split, threads = _one_cpu_then_split(monkeypatch, compute)
             assert split == reference, n
+            assert reference == _reference_bits(states, grids), n
             assert threads == 8 * _threads_per_call(n, 2), n
             assert [_bits(xs) for xs in grids] == before, n
 
@@ -417,6 +434,10 @@ class TestGridPaths:
 
             reference, split, threads = _one_cpu_then_split(monkeypatch, compute)
             assert split == reference, n
+            assert reference == [
+                _bits(ref_field(state, shaped(xs), slope))
+                for state, _ in states for slope in (False, True) for shaped in shapes
+            ], n
             assert threads == 12 * _threads_per_call(n, 2), n
 
 
@@ -446,8 +467,10 @@ class TestSplitGrids:
     one queue of chunks that each check their own order.  Each point gets
     the bits of the one-CPU fill whichever thread fills which chunk, a
     disorder anywhere sorts the grid, and a chunk fails as the one-CPU fill
-    does, in the calling thread.  Most cases run with the thresholds
-    patched down (``_small_split``); the ids keep the real sizes."""
+    does, in the calling thread.  A smaller grid is worked by the calling
+    thread alone, which never asks for the CPU count.  Most cases run with
+    the share and the chunk patched down (``_small_split``); the ids keep
+    the real sizes."""
 
     @pytest.mark.parametrize("n", SPLIT_SIZES)
     @pytest.mark.parametrize("kind", ["sorted", "permuted", "nan", "straddle", "late"])
@@ -466,6 +489,7 @@ class TestSplitGrids:
 
         reference, split, threads = _one_cpu_then_split(monkeypatch, compute)
         assert split == reference
+        assert reference == _reference_bits(states, [xs])
         assert threads == 4 * _threads_per_call(n, 2)
         ran = []
         for start in (_start_first, _start_failing, _held(ran)):
@@ -493,6 +517,11 @@ class TestSplitGrids:
         finally:
             sys.setswitchinterval(interval)
         assert split == reference
+        xs = np.linspace(edges[0] - 2.0, edges[-1] + 2.0, n)
+        assert reference == [
+            _bits(np.column_stack((xs, ref_field(state, xs, False), ref_field(state, xs, True))))
+            for state, _ in states
+        ]
         assert threads == 4 * _threads_per_call(n, cpus)
 
     @pytest.mark.parametrize("mode", ["raise", "call"])
@@ -537,6 +566,33 @@ class TestSplitGrids:
         for field in (evaluate, derivative):
             assert field(state, xs).shape == xs.shape
         assert sample(state, xs[0], xs[-1], len(xs)).shape == (len(xs), 3)
+
+    def test_one_thread_disorder_in_the_last_chunk_gives_the_reference_bits(self, monkeypatch):
+        # Between one chunk and one split, the calling thread works the queue
+        # alone and finds the disorder only in the grid's last chunk.
+        _small_split(monkeypatch)
+        monkeypatch.setattr(wavefunc, "_cpus", _no_cpus)
+        monkeypatch.setattr(_thread, "start_new_thread", _no_start)
+        states = _states()
+        for n in (wavefunc._CHUNK + 1, 5 * wavefunc._CHUNK + 3, 2 * wavefunc._SHARE - 1):
+            xs = _large_grid("late", n, states[0][1])
+            found = [_bits(f(state, xs)) for state, _ in states for f in (evaluate, derivative)]
+            assert found == _reference_bits(states, [xs]), n
+
+    @pytest.mark.parametrize("field", [evaluate, derivative])
+    def test_one_thread_error_is_raised_in_the_calling_thread(self, monkeypatch, field):
+        # As in the split case above: the barrier fills the grid's last chunks.
+        _small_split(monkeypatch)
+        monkeypatch.setattr(wavefunc, "_cpus", _no_cpus)
+        monkeypatch.setattr(_thread, "start_new_thread", _no_start)
+        ground, edges = _states()[0]
+        state = replace(ground, amp_0=sys.float_info.max / 4.0)
+        xs = np.concatenate((
+            np.linspace(edges[0] - 2.0, edges[1], 4 * wavefunc._CHUNK, endpoint=False),
+            np.linspace(edges[1], edges[2], wavefunc._CHUNK + 3, endpoint=False),
+        ))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            field(state, xs)
 
     def test_cpu_count_is_the_affinity_else_the_cpu_count(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
